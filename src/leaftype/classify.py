@@ -20,28 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import DEFAULT_VERTEX_BUDGET, build_ball
-from .gluing import (
-    AbstractCover,
-    GluedSurface,
-    genus_growth,
-    intersection_number_mod2,
-    lift_cycle,
-)
+from .cayley import DEFAULT_VERTEX_BUDGET
+from .gluing import AbstractCover, genus_growth, intersection_number_mod2
 from .targets import (
     CIRCLE,
     INFINITE,
-    MOEBIUS,
+    MOEBIUS_FINITE_CAP,
     PERMUTATION,
-    CircleElement,
     Element,
-    MoebiusElement,
     Order,
     Representation,
-    abelian_free_rank,
+    circle_free_rank,
     deck_group_is_finite,
     element_order,
     element_power,
+    enumerate_group,
     ping_pong_free_certificate,
 )
 from .words import (
@@ -58,26 +51,11 @@ CYLINDER = "cylinder"
 JACOBS_LADDER = "jacobs_ladder"
 CANTOR_TREE = "cantor_tree"
 BLOOMING_CANTOR_TREE = "blooming_cantor_tree"
-MINUS_DISCRETE_SUFFIX = "_minus_discrete"
 PLANE_MINUS_DISCRETE = "plane_minus_discrete"
 LNM_MINUS_DISCRETE = "lnm_minus_discrete"
 JACOBS_LADDER_MINUS_DISCRETE = "jacobs_ladder_minus_discrete"
 CANTOR_TREE_MINUS_DISCRETE = "cantor_tree_minus_discrete"
 BLOOMING_CANTOR_TREE_MINUS_DISCRETE = "blooming_cantor_tree_minus_discrete"
-
-INFINITE_COVER_TYPES = (
-    PLANE,
-    LOCH_NESS_MONSTER,
-    CYLINDER,
-    JACOBS_LADDER,
-    CANTOR_TREE,
-    BLOOMING_CANTOR_TREE,
-    PLANE_MINUS_DISCRETE,
-    LNM_MINUS_DISCRETE,
-    JACOBS_LADDER_MINUS_DISCRETE,
-    CANTOR_TREE_MINUS_DISCRETE,
-    BLOOMING_CANTOR_TREE_MINUS_DISCRETE,
-)
 
 ENDS_ZERO = "zero"
 ENDS_ONE = "one"
@@ -200,7 +178,7 @@ def _ends_of_group(rep: Representation, images: Sequence[Element]) -> str:
     if not nontrivial:
         return ENDS_ZERO
     if rep.kind == CIRCLE:
-        rank = _circle_rank(nontrivial)
+        rank = circle_free_rank(nontrivial)
         if rank == 0:
             return ENDS_ZERO
         return ENDS_TWO if rank == 1 else ENDS_ONE
@@ -209,8 +187,7 @@ def _ends_of_group(rep: Representation, images: Sequence[Element]) -> str:
     # Moebius
     orders = [element_order(e) for e in nontrivial]
     if all(o != INFINITE for o in orders):
-        sub = _enumerate_elements(nontrivial, cap=64)
-        if sub is not None:
+        if enumerate_group(rep.identity(), nontrivial, MOEBIUS_FINITE_CAP) is not None:
             return ENDS_ZERO
         return ENDS_INCONCLUSIVE
     distinct = _distinct_up_to_inverse(nontrivial)
@@ -219,23 +196,6 @@ def _ends_of_group(rep: Representation, images: Sequence[Element]) -> str:
     if len(distinct) == 2 and ping_pong_free_certificate(distinct[0], distinct[1]):
         return ENDS_CANTOR
     return ENDS_INCONCLUSIVE
-
-
-def _circle_rank(elements: Sequence[CircleElement]) -> int:
-    from fractions import Fraction
-
-    from .scalars import rational_matrix_rank
-
-    coords = sorted(
-        {k for e in elements for k in e.exponent.coordinates_mod_one()}
-    )
-    if not coords:
-        return 0
-    rows = []
-    for e in elements:
-        c = e.exponent.coordinates_mod_one()
-        rows.append([c.get(k, Fraction(0)) for k in coords])
-    return rational_matrix_rank(rows)
 
 
 def _distinct_up_to_inverse(elements: Sequence[Element]) -> List[Element]:
@@ -248,30 +208,6 @@ def _distinct_up_to_inverse(elements: Sequence[Element]) -> List[Element]:
         seen.add(e.inverse().key())
         out.append(e)
     return out
-
-
-def _enumerate_elements(gens: Sequence[Element], cap: int) -> Optional[List[Element]]:
-    ident = None
-    for g in gens:
-        ident = g.compose(g.inverse())
-        break
-    if ident is None:
-        return []
-    seen = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                for h in (g, g.inverse()):
-                    w = v.compose(h)
-                    if w.key() not in seen:
-                        if len(seen) >= cap:
-                            return None
-                        seen[w.key()] = w
-                        nxt.append(w)
-        frontier = nxt
-    return list(seen.values())
 
 
 # -- Riemann-Hurwitz for finite deck groups ----------------------------------
@@ -287,11 +223,13 @@ def riemann_hurwitz_finite(rep: Representation) -> SurfaceTypeLabel:
     finite, order = deck_group_is_finite(rep)
     if not finite:
         raise ValueError("Riemann-Hurwitz branch requires a finite deck group")
-    pres = rep.presentation
-    k = order or 1
+    return _riemann_hurwitz(rep.presentation, order, boundary_orders(rep))
+
+
+def _riemann_hurwitz(pres: SurfacePresentation, k: int, orders: Sequence[Order]) -> SurfaceTypeLabel:
+    """The formula for deck order k and boundary holonomy orders."""
     punctures = 0
-    for c in pres.boundary_gens:
-        o = element_order(rep.image(c))
+    for o in orders:
         if o == INFINITE:
             raise ValueError("finite deck group cannot have infinite boundary order")
         punctures += k // int(o)
@@ -526,16 +464,14 @@ def _handle_pair_candidates(
 def handle_witness_search(
     rep: Representation,
     max_exp: int = DEFAULT_SEARCH_BOUND,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    confirm: bool = True,
 ) -> Optional[Witness]:
     """First certified handle-witness pair, or None up to the bound.
 
     Candidates satisfying the algebraic membership and non-membership side
     conditions are enumerated in increasing total exponent (boundary pairs
     before handle pairs, then lexicographically). Each candidate is then
-    confirmed geometrically: both cycles must lift closed and cross with
-    parity one on a ball large enough to contain the lifts. Confirmation
+    confirmed geometrically: both cycles must lift closed in the full cover
+    and cross with parity one. Confirmation
     filters out configurations whose local crossing at the base is cancelled
     by extra global crossings, which the bare side conditions allow.
     """
@@ -551,8 +487,6 @@ def handle_witness_search(
         candidates = _boundary_pair_candidates(ctx, total, max_exp)
         candidates += _handle_pair_candidates(ctx, total, max_exp)
         for cand in candidates:
-            if not confirm:
-                return Witness(cand.case, cand.params, cand.gamma1, cand.gamma2, 0)
             confirmed = _confirm_witness(cover, cand)
             if confirmed is not None:
                 return confirmed
@@ -588,7 +522,7 @@ def classify_cover(
     finite, order = deck_group_is_finite(rep)
     orders = boundary_orders(rep)
     if finite:
-        label = riemann_hurwitz_finite(rep)
+        label = _riemann_hurwitz(pres, order, orders)
         report = EndsReport(
             deck_is_finite=True,
             deck_order=order,
@@ -619,7 +553,7 @@ def classify_cover(
             )
             plugged_class = ENDS_INCONCLUSIVE
 
-    witness = handle_witness_search(rep, search_bound, vertex_budget)
+    witness = handle_witness_search(rep, search_bound)
     if witness is not None:
         genus_class = GenusClass("infinite")
     else:

@@ -22,12 +22,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .cayley import DEFAULT_VERTEX_BUDGET, build_ball, export_dot
 from .classify import DEFAULT_RADII, DEFAULT_SEARCH_BOUND, classify_cover
 from .foliations import (
-    EXPLICIT_RATIOS,
     InvalidFoliationError,
     LogComponent,
     LogFoliationSpec,
@@ -45,6 +44,7 @@ from .targets import (
     BudgetExceededError,
     CIRCLE,
     CircleElement,
+    Element,
     MOEBIUS,
     MoebiusElement,
     PERMUTATION,
@@ -102,14 +102,15 @@ def parse_gaussian(obj) -> GaussianRational:
     raise ValueError("cannot parse Gaussian rational from %r" % (obj,))
 
 
-def _build_representation(cfg: dict) -> Representation:
+def _representation_data(cfg: dict) -> Tuple[SurfacePresentation, str, Dict[str, Element]]:
+    """Presentation, target kind and parsed generator images of a config."""
     symbols = cfg.get("symbols", [])
     target = cfg.get("target")
     if target not in (CIRCLE, MOEBIUS, PERMUTATION):
         raise ValueError("representation config needs target circle|moebius|permutation")
     pres = SurfacePresentation(int(cfg.get("genus", 0)), int(cfg.get("punctures", 0)))
     raw = cfg.get("images", {})
-    images: Dict[str, object] = {}
+    images: Dict[str, Element] = {}
     for gen, value in raw.items():
         if target == CIRCLE:
             images[gen] = CircleElement.of(parse_scalar(value, symbols))
@@ -126,7 +127,12 @@ def _build_representation(cfg: dict) -> Representation:
             images[g] = CircleElement.identity()
     elif missing:
         raise ValueError("missing images for generators: %s" % ", ".join(missing))
-    return Representation(pres, target, images)
+    return pres, target, images
+
+
+def _homogeneous_exponents(cfg: dict) -> List[ExponentScalar]:
+    symbols = cfg.get("symbols", [])
+    return [parse_scalar(v, symbols) for v in cfg.get("exponents", [])]
 
 
 def _build_log_spec(cfg: dict) -> LogFoliationSpec:
@@ -158,16 +164,13 @@ def _build_log_spec(cfg: dict) -> LogFoliationSpec:
 def _representation_from_config(cfg: dict) -> Representation:
     kind = cfg.get("kind")
     if kind == "representation":
-        return _build_representation(cfg)
+        return Representation(*_representation_data(cfg))
     if kind == "homogeneous":
-        symbols = cfg.get("symbols", [])
-        exponents = [parse_scalar(v, symbols) for v in cfg.get("exponents", [])]
+        exponents = _homogeneous_exponents(cfg)
         pres = SurfacePresentation(0, len(exponents))
         return Representation.circle_from_exponents(pres, exponents)
     if kind == "riccati":
-        sub = dict(cfg)
-        sub["target"] = MOEBIUS
-        return _build_representation(sub)
+        return Representation(*_representation_data(dict(cfg, target=MOEBIUS)))
     if kind == "logarithmic":
         spec = _build_log_spec(cfg)
         validate_log_structure(spec).raise_if_invalid()
@@ -181,33 +184,25 @@ def _representation_from_config(cfg: dict) -> Representation:
 
 def cmd_classify(cfg: dict, radii, search_bound, budget, out_dir: Path) -> int:
     kind = cfg.get("kind")
-    if kind == "logarithmic":
-        spec = _build_log_spec(cfg)
-        verdict = classify_logarithmic(spec, search_bound, radii, budget)
-        payload = verdict.to_json_dict()
-        classified = verdict.classified
-    elif kind == "homogeneous":
-        symbols = cfg.get("symbols", [])
-        exponents = [parse_scalar(v, symbols) for v in cfg.get("exponents", [])]
-        verdict = classify_homogeneous(exponents, search_bound, radii, budget)
-        payload = verdict.to_json_dict()
-        classified = verdict.classified
-    elif kind == "riccati":
-        rep = _representation_from_config(cfg)
-        spec = RiccatiSpec(rep.presentation, {g: rep.image(g) for g in rep.presentation.free_gens})
-        verdict = classify_riccati(spec, search_bound, radii, budget)
-        payload = verdict.to_json_dict()
-        classified = verdict.classified
-    elif kind == "representation":
-        rep = _representation_from_config(cfg)
-        report, label = classify_cover(rep, search_bound, radii, budget)
+    if kind == "representation":
+        report, label = classify_cover(_representation_from_config(cfg), search_bound, radii, budget)
         payload = {
             "label": label.to_json_dict() if label else None,
             "ends_report": report.to_json_dict(),
         }
         classified = label is not None
     else:
-        raise ValueError("unknown config kind %r" % (kind,))
+        if kind == "logarithmic":
+            verdict = classify_logarithmic(_build_log_spec(cfg), search_bound)
+        elif kind == "homogeneous":
+            verdict = classify_homogeneous(_homogeneous_exponents(cfg), search_bound, radii, budget)
+        elif kind == "riccati":
+            pres, _, images = _representation_data(dict(cfg, target=MOEBIUS))
+            verdict = classify_riccati(RiccatiSpec(pres, images), search_bound, radii, budget)
+        else:
+            raise ValueError("unknown config kind %r" % (kind,))
+        payload = verdict.to_json_dict()
+        classified = verdict.classified
     text = _dump(payload)
     sys.stdout.write(text)
     (out_dir / "verdict.json").write_text(text, encoding="utf-8")
@@ -281,6 +276,8 @@ def main(argv: List[str] | None = None) -> int:
         )
         return EXIT_INVALID
     try:
+        if not isinstance(cfg, dict):
+            raise ValueError("a config must be a JSON object")
         radii = _parse_radii(args.radius) if args.radius else DEFAULT_RADII
         if args.budget < 1 or args.search_bound < 1:
             raise ValueError("budgets must be positive")

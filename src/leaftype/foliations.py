@@ -17,27 +17,19 @@ witness search and glued balls actually certified on this input).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .classify import (
     DEFAULT_RADII,
     DEFAULT_SEARCH_BOUND,
     EndsReport,
     SurfaceTypeLabel,
-    Witness,
     classify_cover,
     handle_witness_search,
 )
 from .cayley import DEFAULT_VERTEX_BUDGET
 from .scalars import ExponentScalar, GaussianRational
-from .targets import (
-    CIRCLE,
-    MOEBIUS,
-    CircleElement,
-    MoebiusElement,
-    Representation,
-    deck_group_is_finite,
-)
+from .targets import MOEBIUS, MoebiusElement, Representation, deck_group_is_finite
 from .words import SurfacePresentation
 
 PROPORTIONAL = "proportional"
@@ -132,7 +124,8 @@ def validate_log_structure(spec: LogFoliationSpec) -> GenericityReport:
     """The checks under which component_holonomy is well defined.
 
     At least two components, all of positive degree; a known mode; nonzero
-    residues in proportional mode and ratio data in explicit-ratio mode; the
+    residues in proportional mode, and in explicit-ratio mode ratio data
+    whose component indices lie in 1..r; the
     exact residue relation sum d_j lambda_j = 0; and a normal-crossing
     divisor, so that every crossing is a transverse double point whose loop
     has the single multiplier exp(2*pi*i*lambda_k/lambda_j). Genericity is
@@ -198,6 +191,12 @@ def _check_log_spec(spec: LogFoliationSpec, genericity: bool) -> GenericityRepor
         if not spec.ratios:
             failures.append("explicit-ratio mode requires ratio data")
         for j, row in sorted(spec.ratios.items()):
+            outside = sorted({i for i in (j, *row) if not 1 <= i <= spec.r})
+            if outside:
+                failures.append(
+                    "ratio indices outside 1..%d: %s" % (spec.r, ", ".join(map(str, outside)))
+                )
+                continue
             total = ExponentScalar.rational(spec.components[j - 1].degree)
             for k, ratio in sorted(row.items()):
                 total = total + ratio.scale(spec.components[k - 1].degree)
@@ -283,8 +282,6 @@ def component_holonomy(spec: LogFoliationSpec, j: int) -> Representation:
 def classify_logarithmic(
     spec: LogFoliationSpec,
     search_bound: int = DEFAULT_SEARCH_BOUND,
-    radii: Sequence[int] = DEFAULT_RADII,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> Verdict:
     """Main-theorem decision tree for a generic logarithmic foliation.
 
@@ -326,7 +323,7 @@ def classify_logarithmic(
         finite, _ = deck_group_is_finite(rep)
         if finite:
             continue
-        witness = handle_witness_search(rep, search_bound, vertex_budget)
+        witness = handle_witness_search(rep, search_bound)
         if witness is not None:
             witness_info = {
                 "status": "confirmed",
@@ -375,16 +372,14 @@ def classify_homogeneous(
         )
     pres = SurfacePresentation(0, n)
     rep = Representation.circle_from_exponents(pres, list(exponents))
-    finite, order = deck_group_is_finite(rep)
+    report, label = classify_cover(rep, search_bound, radii, vertex_budget)
     caveats = [FINITE_LEAF_CAVEAT]
-    if finite:
-        report, label = classify_cover(rep, search_bound, radii, vertex_budget)
+    if report.deck_is_finite:
         route = [
             "finite multiplier group of order %d: rational first integral, "
-            "algebraic leaves" % (order or 1)
+            "algebraic leaves" % report.deck_order
         ]
-        return Verdict(label, route, {"deck_order": order}, caveats, report)
-    report, label = classify_cover(rep, search_bound, radii, vertex_budget)
+        return Verdict(label, route, {"deck_order": report.deck_order}, caveats, report)
     allowed = {
         "plane",
         "cylinder",

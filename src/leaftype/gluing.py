@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cayley import CayleyBall, DEFAULT_VERTEX_BUDGET, build_ball
 from .targets import Element, Representation
@@ -153,6 +153,10 @@ class DomainTemplate:
             out = out * (w if d == 1 else w.inverse())
         return out
 
+    def shift_elements(self, rep: Representation) -> Dict[str, Element]:
+        """The deck element by which crossing each glued pair moves, per pair name."""
+        return {name: rep.evaluate(pair.shift) for name, pair in self.pairs.items()}
+
 
 class _UnionFind:
     def __init__(self, size: int):
@@ -203,9 +207,7 @@ class GluedSurface:
         self.template = DomainTemplate(rep.presentation)
         self.face_keys: List[str] = sorted(ball.distances)
         self.face_index: Dict[str, int] = {k: i for i, k in enumerate(self.face_keys)}
-        self._shift_elements: Dict[str, Element] = {
-            name: rep.evaluate(pair.shift) for name, pair in self.template.pairs.items()
-        }
+        self._shift_elements = self.template.shift_elements(rep)
         self._glue()
         self._count()
 
@@ -423,25 +425,11 @@ class AbstractCover:
     def __init__(self, rep: Representation):
         self.representation = rep
         self.template = DomainTemplate(rep.presentation)
-        self._shift_elements: Dict[str, Element] = {
-            name: rep.evaluate(pair.shift) for name, pair in self.template.pairs.items()
-        }
+        self._shift_elements = self.template.shift_elements(rep)
 
     def lift(self, word: Word, base: Optional[Element] = None) -> "LiftedPath":
-        rep = self.representation
-        cur = base if base is not None else rep.identity()
-        base_key = cur.key()
-        path = self.template.word_path(word)
-        records: List[CrossingRecord] = []
-        for pair, d in path:
-            shift = self._shift_elements[pair]
-            nxt = cur.compose(shift if d == 1 else shift.inverse())
-            pos_face = cur.key() if d == 1 else nxt.key()
-            records.append(
-                CrossingRecord(pair, d, cur.key(), nxt.key(), (pos_face, pair))
-            )
-            cur = nxt
-        return LiftedPath(base_key, self, records, True, cur.key())
+        start = base if base is not None else self.representation.identity()
+        return _lift(self, start, word, lambda key: True)
 
 
 @dataclass
@@ -475,6 +463,26 @@ class LiftedPath:
         return len(self.crossings)
 
 
+def _lift(surface, start: Element, word: Word, has_face: Callable[[str], bool]) -> LiftedPath:
+    """Cross one glued edge per step of the word's path, starting at face start.
+
+    Stops with an open path at the first face for which has_face is false.
+    """
+    base = cur_key = start.key()
+    cur = start
+    records: List[CrossingRecord] = []
+    for step, (pair, d) in enumerate(surface.template.word_path(word)):
+        shift = surface._shift_elements[pair]
+        nxt = cur.compose(shift if d == 1 else shift.inverse())
+        nxt_key = nxt.key()
+        if not has_face(nxt_key):
+            return LiftedPath(base, surface, records, False, None, step, pair)
+        pos_face = cur_key if d == 1 else nxt_key
+        records.append(CrossingRecord(pair, d, cur_key, nxt_key, (pos_face, pair)))
+        cur, cur_key = nxt, nxt_key
+    return LiftedPath(base, surface, records, True, cur_key)
+
+
 def lift_cycle(
     rep: Representation,
     ball_or_surface,
@@ -496,19 +504,7 @@ def lift_cycle(
     base = base if base is not None else ball.root
     if base not in ball.distances:
         raise ValueError("base face %r is not in the ball" % (base,))
-    path = surface.template.word_path(word)
-    cur = ball.elements[base]
-    records: List[CrossingRecord] = []
-    for step, (pair, d) in enumerate(path):
-        shift = surface._shift_elements[pair]
-        nxt = cur.compose(shift if d == 1 else shift.inverse())
-        nk = nxt.key()
-        if nk not in ball.distances:
-            return LiftedPath(base, surface, records, False, None, step, pair)
-        pos_face = cur.key() if d == 1 else nk
-        records.append(CrossingRecord(pair, d, cur.key(), nk, (pos_face, pair)))
-        cur = nxt
-    return LiftedPath(base, surface, records, True, cur.key())
+    return _lift(surface, ball.elements[base], word, ball.distances.__contains__)
 
 
 def intersection_number_mod2(p1: LiftedPath, p2: LiftedPath) -> int:

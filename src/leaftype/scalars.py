@@ -23,7 +23,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (value,)) from None
     raise TypeError("cannot interpret %r as an exact rational" % (value,))
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .scalars import (
     GR_ONE,
@@ -51,7 +51,7 @@ class CircleElement:
     def is_identity(self) -> bool:
         return self.exponent.is_zero
 
-    def order(self, bound: int | None = None) -> Order:
+    def order(self) -> Order:
         """Exact order: the reduced denominator for rational exponents.
 
         Symbolic or imaginary content forces infinite order, by the declared
@@ -133,7 +133,7 @@ class MoebiusElement:
             return None
         return (self.a - self.d) / (self.c + self.c)
 
-    def order(self, bound: int | None = None) -> Order:
+    def order(self) -> Order:
         """Exact order via the scale-invariant trace test.
 
         tr^2/det equals 2 + 2cos(theta) for an elliptic rotation by theta.
@@ -208,7 +208,7 @@ class PermutationElement:
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.mapping))
 
-    def order(self, bound: int | None = None) -> Order:
+    def order(self) -> Order:
         seen = [False] * len(self.mapping)
         result = 1
         for i in range(len(self.mapping)):
@@ -235,9 +235,9 @@ PERMUTATION = "permutation"
 TARGET_KINDS = (CIRCLE, MOEBIUS, PERMUTATION)
 
 
-def element_order(e: Element, bound: int | None = None) -> Order:
+def element_order(e: Element) -> Order:
     """Exact order of a target element; 'infinite' when no power is trivial."""
-    return e.order(bound)
+    return e.order()
 
 
 def is_identity(e: Element) -> bool:
@@ -278,6 +278,13 @@ class Representation:
             if gen not in given:
                 raise ValueError("missing image for generator %r" % (gen,))
             self._images[gen] = given.pop(gen)
+        if kind == PERMUTATION:
+            degrees = sorted({len(e.mapping) for e in self._images.values()})
+            if len(degrees) > 1:
+                raise ValueError(
+                    "permutation images have different degrees: %s"
+                    % ", ".join(map(str, degrees))
+                )
         last = None
         if presentation.punctures >= 1:
             last = presentation.boundary_gens[-1]
@@ -325,10 +332,6 @@ class Representation:
             acc = acc.compose(el if sign == 1 else el.inverse())
         return acc
 
-    def generator_image_list(self, gens: Iterable[str] | None = None) -> List[Element]:
-        chosen = tuple(gens) if gens is not None else self.presentation.free_gens
-        return [self.image(g) for g in chosen]
-
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -370,22 +373,26 @@ class Representation:
 
 
 def abelian_free_rank(rep: Representation) -> int:
-    """Torsion-free rank of the image of a circle representation.
+    """Torsion-free rank of the image of a circle representation."""
+    if rep.kind != CIRCLE:
+        raise ValueError("free rank computation applies to circle targets")
+    return circle_free_rank([rep.image(g) for g in rep.presentation.free_gens])
 
-    The image group embeds in exponent space modulo the integers; its free
-    rank equals the Q-dimension of the span of the generator exponents in
+
+def circle_free_rank(elements: Sequence[CircleElement]) -> int:
+    """Torsion-free rank of the group generated by circle elements.
+
+    The group embeds in exponent space modulo the integers; its free rank
+    equals the Q-dimension of the span of the exponents in
     (exponent space)/(Q*1), with real-symbol, imaginary-constant and
     imaginary-symbol directions as independent coordinates.
     """
-    if rep.kind != CIRCLE:
-        raise ValueError("free rank computation applies to circle targets")
-    exps = [rep.image(g).exponent for g in rep.presentation.free_gens]
-    coords = sorted({key for e in exps for key in e.coordinates_mod_one()})
+    coords = sorted({key for e in elements for key in e.exponent.coordinates_mod_one()})
     if not coords:
         return 0
     rows = []
-    for e in exps:
-        c = e.coordinates_mod_one()
+    for e in elements:
+        c = e.exponent.coordinates_mod_one()
         rows.append([c.get(k, Fraction(0)) for k in coords])
     return rational_matrix_rank(rows)
 
@@ -429,29 +436,33 @@ def _moebius_sending(to_zero: GaussianRational | None, to_inf: GaussianRational 
 
 
 def enumerate_image_group(rep: Representation, cap: int) -> List[Element] | None:
-    """All elements of the image group, or None if it exceeds cap.
-
-    Breadth-first closure under the generator images; exact because element
-    keys are canonical.
-    """
+    """All elements of the image group, sorted by key, or None if it exceeds cap."""
     gens = [rep.image(g) for g in rep.presentation.free_gens]
-    gens = [g for g in gens if not g.is_identity]
-    ident = rep.identity()
-    seen = {ident.key(): ident}
-    frontier = [ident]
+    seen = enumerate_group(rep.identity(), gens, cap)
+    return None if seen is None else [seen[k] for k in sorted(seen)]
+
+
+def enumerate_group(identity: Element, gens: Sequence[Element], cap: int) -> Dict[str, Element] | None:
+    """Key -> element for the group the gens generate, or None if it exceeds cap.
+
+    Breadth-first closure under the generators and their inverses; exact
+    because element keys are canonical.
+    """
+    steps = [h for g in gens if not g.is_identity for h in (g, g.inverse())]
+    seen = {identity.key(): identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for v in frontier:
-            for g in gens:
-                for h in (g, g.inverse()):
-                    w = v.compose(h)
-                    if w.key() not in seen:
-                        if len(seen) >= cap:
-                            return None
-                        seen[w.key()] = w
-                        nxt.append(w)
+            for h in steps:
+                w = v.compose(h)
+                if w.key() not in seen:
+                    if len(seen) >= cap:
+                        return None
+                    seen[w.key()] = w
+                    nxt.append(w)
         frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    return seen
 
 
 # Finite subgroups of PSL(2, C) with Gaussian-rational entries have order at
@@ -461,28 +472,26 @@ MOEBIUS_FINITE_CAP = 64
 
 
 def deck_group_is_finite(rep: Representation, cap: int = 200000) -> Tuple[bool, int | None]:
-    """Decide finiteness of the image group; exact for all three targets."""
+    """Decide finiteness of the image group and give its order; exact for all three targets.
+
+    A finite circle image is a finite subgroup of Q/Z, hence cyclic, and its
+    order is the lcm of the generator orders; only the other two targets are
+    enumerated.
+    """
+    gens = [rep.image(g) for g in rep.presentation.free_gens]
+    if rep.kind == PERMUTATION:
+        elements = enumerate_group(rep.identity(), gens, cap)
+        if elements is None:
+            raise BudgetExceededError("permutation deck enumeration", cap)
+        return True, len(elements)
+    orders = [g.order() for g in gens]
+    if INFINITE in orders:
+        return False, None
     if rep.kind == CIRCLE:
-        if abelian_free_rank(rep) > 0:
-            return False, None
-        for g in rep.presentation.free_gens:
-            if rep.image(g).order() == INFINITE:
-                return False, None
-        elements = enumerate_image_group(rep, cap)
-        if elements is None:
-            raise BudgetExceededError("circle deck enumeration", cap)
-        return True, len(elements)
-    if rep.kind == MOEBIUS:
-        for g in rep.presentation.free_gens:
-            if rep.image(g).order() == INFINITE:
-                return False, None
-        elements = enumerate_image_group(rep, MOEBIUS_FINITE_CAP)
-        if elements is None:
-            return False, None
-        return True, len(elements)
-    elements = enumerate_image_group(rep, cap)
+        return True, lcm(*orders)
+    elements = enumerate_group(rep.identity(), gens, MOEBIUS_FINITE_CAP)
     if elements is None:
-        raise BudgetExceededError("permutation deck enumeration", cap)
+        return False, None
     return True, len(elements)
 
 

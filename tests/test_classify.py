@@ -217,3 +217,40 @@ class TestOracleAgreement:
             assert handle_witness_search(rep) is None
             rows = genus_growth(rep, (2, 4, 6))
             assert all(r["genus"] == 0 for r in rows)
+
+
+class TestOneDeckComputation:
+    """Each representation has its deck group decided exactly once."""
+
+    @pytest.fixture
+    def deck_calls(self, monkeypatch):
+        import leaftype.classify
+        import leaftype.foliations
+        import leaftype.targets
+
+        calls = []
+
+        def counting(rep, *args, **kwargs):
+            calls.append(rep)
+            return deck_group_is_finite(rep, *args, **kwargs)
+
+        for module in (leaftype.targets, leaftype.classify, leaftype.foliations):
+            monkeypatch.setattr(module, "deck_group_is_finite", counting)
+        return calls
+
+    def test_classify_cover(self, deck_calls, log3_case2):
+        finite = circle_rep(3, [rational(1, 3)] * 3)
+        for rep in (finite, log3_case2):
+            deck_calls.clear()
+            classify_cover(rep)
+            assert deck_calls == [rep]
+
+    def test_classify_homogeneous(self, deck_calls):
+        from leaftype import classify_homogeneous
+
+        t = symbol("t")
+        for exponents in ([rational(1, 3)] * 3, [t, rational(1, 2), rational(1, 2) - t]):
+            deck_calls.clear()
+            verdict = classify_homogeneous(exponents)
+            assert verdict.label is not None
+            assert len(deck_calls) == 1

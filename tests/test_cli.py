@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,20 @@ GENERIC_THREE_LINES = [
     {"degree": 1, "coeff": {"im": "1"}},
     {"degree": 1, "coeff": {"re": "-1", "im": "-1"}},
 ]
+
+# explicit ratios naming a component 5 or 0 of a three-line divisor
+OUT_OF_RANGE_RATIO_LOG = {
+    "kind": "logarithmic",
+    "mode": "explicit_ratios",
+    "components": [{"degree": 1}] * 3,
+    "ratios": {"1": {"2": "1/2", "5": "1"}},
+}
+ZERO_RATIO_INDEX_LOG = {
+    "kind": "logarithmic",
+    "mode": "explicit_ratios",
+    "components": [{"degree": 1}] * 3,
+    "ratios": {"1": {"0": "-1/2", "2": "-1/2"}},
+}
 
 UNRECOGNIZED_MOEBIUS = {
     "kind": "representation",
@@ -159,6 +174,22 @@ class TestClassifyCommand:
         )
         assert code == 0
         assert json.loads(out)["label"]["label"] == "loch_ness_monster"
+
+    def test_large_cyclic_deck_in_closed_form(self, tmp_path, capsys):
+        config = {
+            "kind": "homogeneous",
+            "exponents": ["1/1000003", "1/999983", "-1999986/999985999949"],
+        }
+        cfg = write_config(tmp_path, config)
+        code, out, _ = run_cli(
+            ["classify", "--config", str(cfg), "--out", str(tmp_path)], capsys
+        )
+        assert code == 0
+        verdict = json.loads(out)
+        assert verdict["label"] == {
+            "label": "finite_cover", "genus": 499991999982, "punctures": 1999987,
+        }
+        assert verdict["ends_report"]["deck_order"] == 999985999949
 
 
 class TestBallCommand:
@@ -330,6 +361,8 @@ class TestGenericityOnlyForClassify:
                  "normal_crossing": False},
                 "normal-crossing",
             ),
+            (OUT_OF_RANGE_RATIO_LOG, "ratio indices outside 1..3"),
+            (ZERO_RATIO_INDEX_LOG, "ratio indices outside 1..3"),
         ],
     )
     def test_malformed_logarithmic_config_one_line(
@@ -343,6 +376,47 @@ class TestGenericityOnlyForClassify:
         assert code == 1
         assert not out
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config,index", [(OUT_OF_RANGE_RATIO_LOG, "5"), (ZERO_RATIO_INDEX_LOG, "0")]
+    )
+    def test_classify_rejects_ratio_index_outside_components(
+        self, tmp_path, capsys, config, index
+    ):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(
+            ["classify", "--config", str(cfg), "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert not out and not (tmp_path / "verdict.json").exists()
+        assert err == "invalid foliation spec: ratio indices outside 1..3: %s\n" % index
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("command", ["classify", "ball", "surface"])
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ([HOMOGENEOUS_CASE1], "JSON object"),
+            (
+                {"kind": "representation", "target": "permutation", "genus": 0,
+                 "punctures": 3, "images": {"c1": [1, 0], "c2": [0, 2, 1]}},
+                "different degrees",
+            ),
+            ({"kind": "homogeneous", "exponents": ["1/0", "1"]}, "zero denominator"),
+        ],
+        ids=["top-level-array", "permutation-degrees", "zero-denominator"],
+    )
+    def test_one_line_and_exit_one(self, tmp_path, capsys, command, config, message):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(
+            [command, "--config", str(cfg), "--radius", "2", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert not out
+        assert err.startswith("invalid input: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestDeterminism:
@@ -388,3 +462,28 @@ class TestDeterminism:
             text=True,
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize(
+        "command,config,radius",
+        [
+            ("classify", HOMOGENEOUS_CASE1, "2,4"),
+            ("ball", RICCATI_LADDER, "3"),
+            ("surface", RESIDUES_235_LOG, "2,4"),
+        ],
+    )
+    def test_outputs_independent_of_hash_seed(self, tmp_path, command, config, radius):
+        cfg = write_config(tmp_path, config)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            out_dir = tmp_path / ("seed%s" % seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "leaftype.cli", command, "--config", str(cfg),
+                 "--radius", radius, "--out", str(out_dir)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((proc.stdout, files))
+        assert outputs[0] == outputs[1]

@@ -299,3 +299,22 @@ class TestClassifyRiccati:
                     },
                 )
             )
+
+
+class TestRatioIndices:
+    @pytest.mark.parametrize(
+        "ratios",
+        [
+            {1: {2: rational(1, 2), 5: rational(1)}},
+            {1: {0: rational(-1, 2), 2: rational(-1, 2)}},
+            {0: {1: rational(-1, 2), 2: rational(-1, 2)}},
+        ],
+    )
+    def test_index_outside_components_rejected(self, ratios):
+        spec = LogFoliationSpec(EXPLICIT_RATIOS, [LogComponent(1)] * 3, ratios=ratios)
+        for validate in (validate_log_structure, validate_log_spec):
+            report = validate(spec)
+            assert not report.valid
+            assert any("ratio indices outside 1..3" in f for f in report.failures)
+        with pytest.raises(InvalidFoliationError, match="outside 1..3"):
+            classify_logarithmic(spec)

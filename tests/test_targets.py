@@ -303,3 +303,21 @@ class TestDeckFiniteness:
         finite, order = deck_group_is_finite(rep)
         assert finite and order == 6  # two transpositions generate S3
         assert len(enumerate_image_group(rep, 100)) == 6
+
+    def test_circle_order_in_closed_form(self):
+        # the image is cyclic of order lcm(1000003, 999983); enumerating its
+        # 999985999949 elements would be hopeless
+        q = 1000003 * 999983
+        rep = circle_rep(
+            3, [rational(1, 1000003), rational(1, 999983), rational(-1999986, q)]
+        )
+        assert deck_group_is_finite(rep) == (True, q)
+
+    def test_permutation_degrees_must_agree(self):
+        pres = SurfacePresentation(0, 3)
+        with pytest.raises(ValueError, match="different degrees"):
+            Representation(
+                pres,
+                "permutation",
+                {"c1": PermutationElement.of([1, 0]), "c2": PermutationElement.of([0, 2, 1])},
+            )
