@@ -102,6 +102,12 @@ def parse_gaussian(obj) -> GaussianRational:
     raise ValueError("cannot parse Gaussian rational from %r" % (obj,))
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    return value
+
+
 def _representation_data(cfg: dict) -> Tuple[SurfacePresentation, str, Dict[str, Element]]:
     """Presentation, target kind and parsed generator images of a config."""
     symbols = cfg.get("symbols", [])
@@ -109,9 +115,8 @@ def _representation_data(cfg: dict) -> Tuple[SurfacePresentation, str, Dict[str,
     if target not in (CIRCLE, MOEBIUS, PERMUTATION):
         raise ValueError("representation config needs target circle|moebius|permutation")
     pres = SurfacePresentation(int(cfg.get("genus", 0)), int(cfg.get("punctures", 0)))
-    raw = cfg.get("images", {})
     images: Dict[str, Element] = {}
-    for gen, value in raw.items():
+    for gen, value in _object(cfg.get("images", {}), "images").items():
         if target == CIRCLE:
             images[gen] = CircleElement.of(parse_scalar(value, symbols))
         elif target == MOEBIUS:
@@ -145,10 +150,12 @@ def _build_log_spec(cfg: dict) -> LogFoliationSpec:
             coeff = parse_gaussian(entry["coeff"])
         comps.append(LogComponent(int(entry["degree"]), coeff, entry.get("label", "")))
     ratios: Dict[int, Dict[int, ExponentScalar]] = {}
-    for j, row in cfg.get("ratios", {}).items():
+    for j, row in _object(cfg.get("ratios", {}), "ratios").items():
+        row = _object(row, "ratios row %s" % j)
         ratios[int(j)] = {int(k): parse_scalar(v, symbols) for k, v in row.items()}
     crossings: Dict[int, Dict[int, int]] = {}
-    for j, row in cfg.get("crossings", {}).items():
+    for j, row in _object(cfg.get("crossings", {}), "crossings").items():
+        row = _object(row, "crossings row %s" % j)
         crossings[int(j)] = {int(k): int(v) for k, v in row.items()}
     return LogFoliationSpec(
         mode=mode,

@@ -125,11 +125,11 @@ def validate_log_structure(spec: LogFoliationSpec) -> GenericityReport:
 
     At least two components, all of positive degree; a known mode; nonzero
     residues in proportional mode, and in explicit-ratio mode ratio data
-    whose component indices lie in 1..r; the
-    exact residue relation sum d_j lambda_j = 0; and a normal-crossing
-    divisor, so that every crossing is a transverse double point whose loop
-    has the single multiplier exp(2*pi*i*lambda_k/lambda_j). Genericity is
-    not checked: a residue ratio may be a negative real.
+    whose component indices lie in 1..r; the exact residue relation
+    sum d_j lambda_j = 0; non-negative crossing-count overrides; and a
+    normal-crossing divisor, so that every crossing is a transverse double
+    point whose loop has the single multiplier exp(2*pi*i*lambda_k/lambda_j).
+    Genericity is not checked: a residue ratio may be a negative real.
     """
     return _check_log_spec(spec, genericity=False)
 
@@ -221,6 +221,8 @@ def _check_log_spec(spec: LogFoliationSpec, genericity: bool) -> GenericityRepor
             )
     else:
         failures.append("unknown mode %r" % (spec.mode,))
+    if any(count < 0 for row in spec.crossings.values() for count in row.values()):
+        failures.append("crossing counts must be non-negative")
     if not spec.normal_crossing:
         failures.append("the classification assumes a normal-crossing divisor")
     return GenericityReport(not failures, failures, decided, notes)

@@ -16,14 +16,13 @@ abelian deck groups they reduce to generator images up to inversion.
 
 Lifted cycles are realized as crossing sequences through face interiors
 (the generic pushoff of the based loop), so mod-2 intersection numbers
-reduce to exact chord-interleaving counts inside disk faces, with rational
+reduce to exact chord-interleaving counts inside disk faces, with integer
 offsets along shared edges standing in for a geometric perturbation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cayley import CayleyBall, DEFAULT_VERTEX_BUDGET, build_ball
@@ -427,9 +426,8 @@ class AbstractCover:
         self.template = DomainTemplate(rep.presentation)
         self._shift_elements = self.template.shift_elements(rep)
 
-    def lift(self, word: Word, base: Optional[Element] = None) -> "LiftedPath":
-        start = base if base is not None else self.representation.identity()
-        return _lift(self, start, word, lambda key: True)
+    def lift(self, word: Word) -> "LiftedPath":
+        return _lift(self, self.representation.identity(), word, lambda key: True)
 
 
 @dataclass
@@ -438,7 +436,6 @@ class CrossingRecord:
     direction: int
     from_face: str
     to_face: str
-    edge_key: Tuple[str, str]  # (pos-side face key, pair name)
 
 
 @dataclass
@@ -448,8 +445,6 @@ class LiftedPath:
     crossings: List[CrossingRecord]
     complete: bool
     end_face: Optional[str]
-    exit_step: Optional[int] = None
-    exit_pair: Optional[str] = None
 
     @property
     def exits_ball(self) -> bool:
@@ -471,14 +466,13 @@ def _lift(surface, start: Element, word: Word, has_face: Callable[[str], bool]) 
     base = cur_key = start.key()
     cur = start
     records: List[CrossingRecord] = []
-    for step, (pair, d) in enumerate(surface.template.word_path(word)):
+    for pair, d in surface.template.word_path(word):
         shift = surface._shift_elements[pair]
         nxt = cur.compose(shift if d == 1 else shift.inverse())
         nxt_key = nxt.key()
         if not has_face(nxt_key):
-            return LiftedPath(base, surface, records, False, None, step, pair)
-        pos_face = cur_key if d == 1 else nxt_key
-        records.append(CrossingRecord(pair, d, cur_key, nxt_key, (pos_face, pair)))
+            return LiftedPath(base, surface, records, False, None)
+        records.append(CrossingRecord(pair, d, cur_key, nxt_key))
         cur, cur_key = nxt, nxt_key
     return LiftedPath(base, surface, records, True, cur_key)
 
@@ -512,8 +506,12 @@ def intersection_number_mod2(p1: LiftedPath, p2: LiftedPath) -> int:
 
     Each visit of a path to a face is a chord between boundary positions of
     that disk face; two chords cross mod 2 iff their endpoints interleave.
-    Crossing points along a shared edge get distinct rational offsets,
-    consistent on both sides of the gluing, which realizes the canonical
+    The k-th crossing of steps (path 1's crossings, then path 2's) sits at
+    integer offset k along its edge. With M = len(steps) + 1, slot s of a
+    face spans positions s*M + 1 .. s*M + M - 1 of a circle of length
+    size*M: the endpoint is at s*M + k + 1 seen from the edge's pos-side
+    face and at s*M + M - k - 1 from the other face, so the two sides of a
+    gluing see its crossings in opposite orders. This realizes the canonical
     perturbation. Total parity is a homotopy invariant, so the particular
     offset order does not matter.
     """
@@ -522,55 +520,41 @@ def intersection_number_mod2(p1: LiftedPath, p2: LiftedPath) -> int:
     for p in (p1, p2):
         if not p.closed:
             raise ValueError("intersection numbers require closed paths")
-    # per-edge offsets, path 1 first, then path 2
-    tags: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-    for which, p in ((1, p1), (2, p2)):
-        for rec in p.crossings:
-            tags.setdefault(rec.edge_key, []).append((which, id(rec)))
-    offsets: Dict[Tuple[str, str], Dict[int, Fraction]] = {}
-    for edge, lst in tags.items():
-        total = len(lst)
-        offsets[edge] = {
-            idx: Fraction(idx + 1, total + 1) for idx in range(total)
-        }
+    tpl = p1.surface.template
+    steps = p1.crossings + p2.crossings
+    M = len(steps) + 1
 
-    def chords_for(p: LiftedPath, which: int) -> Dict[str, List[Tuple[Fraction, Fraction]]]:
-        tpl = p.surface.template
-        out: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
-        n = len(p.crossings)
+    def position(k: int, face: str, entering: bool) -> int:
+        rec = steps[k]
+        pair = tpl.pairs[rec.pair]
+        slot = pair.neg_slot if (rec.direction == 1) == entering else pair.pos_slot
+        pos_face = rec.from_face if rec.direction == 1 else rec.to_face
+        # wrong on an edge glued to its own face (CHANGES.md FOUND): use slot == pair.pos_slot
+        return slot * M + (k + 1 if face == pos_face else M - k - 1)
+
+    def chords_for(first: int, n: int) -> Dict[str, List[Tuple[int, int]]]:
+        out: Dict[str, List[Tuple[int, int]]] = {}
         for i in range(n):
-            entry = p.crossings[i]
-            exit_ = p.crossings[(i + 1) % n]
-            face = entry.to_face
-            if exit_.from_face != face:
+            k_in, k_out = first + i, first + (i + 1) % n
+            face = steps[k_in].to_face
+            if steps[k_out].from_face != face:
                 raise InternalConsistencyError("crossing records are not contiguous")
-            e_pos = _endpoint_position(tpl, entry, face, True, offsets, tags, which)
-            x_pos = _endpoint_position(tpl, exit_, face, False, offsets, tags, which)
-            out.setdefault(face, []).append((e_pos, x_pos))
+            out.setdefault(face, []).append(
+                (position(k_in, face, True), position(k_out, face, False))
+            )
         return out
 
-    chords1 = chords_for(p1, 1)
-    chords2 = chords_for(p2, 2)
-    L = p1.surface.template.size
+    n1 = len(p1.crossings)
+    chords1 = chords_for(0, n1)
+    chords2 = chords_for(n1, len(p2.crossings))
+    circumference = tpl.size * M
     total = 0
     for face, lst1 in chords1.items():
         for x1, y1 in lst1:
             for x2, y2 in chords2.get(face, []):
-                if _interleaves(x1, y1, x2, y2, L):
+                if _interleaves(x1, y1, x2, y2, circumference):
                     total += 1
     return total % 2
-
-
-def _endpoint_position(tpl, rec: CrossingRecord, face: str, entering: bool, offsets, tags, which: int) -> Fraction:
-    pair = tpl.pairs[rec.pair]
-    if rec.direction == 1:
-        slot = pair.neg_slot if entering else pair.pos_slot
-    else:
-        slot = pair.pos_slot if entering else pair.neg_slot
-    idx = tags[rec.edge_key].index((which, id(rec)))
-    t = offsets[rec.edge_key][idx]
-    on_pos_side = face == rec.edge_key[0]
-    return Fraction(slot) + (t if on_pos_side else 1 - t)
 
 
 def _interleaves(x1, y1, x2, y2, circumference) -> bool:

@@ -266,7 +266,6 @@ class Representation:
         presentation: SurfacePresentation,
         kind: str,
         images: Mapping[str, Element],
-        check: bool = True,
     ):
         if kind not in TARGET_KINDS:
             raise ValueError("unknown target kind %r" % (kind,))
@@ -289,10 +288,7 @@ class Representation:
         if presentation.punctures >= 1:
             last = presentation.boundary_gens[-1]
             self._images[last] = self.evaluate(presentation.last_boundary_word())
-        if check:
-            self._check_consistency(given, last)
-        elif given:
-            raise ValueError("unexpected generator images: %s" % sorted(given))
+        self._check_consistency(given, last)
 
     def _check_consistency(self, leftover: Dict[str, Element], last: str | None) -> None:
         if last is not None and last in leftover:

@@ -79,6 +79,13 @@ ZERO_RATIO_INDEX_LOG = {
     "ratios": {"1": {"0": "-1/2", "2": "-1/2"}},
 }
 
+# generic lines whose first two meet in -1 points
+NEGATIVE_CROSSINGS_LOG = {
+    "kind": "logarithmic",
+    "components": GENERIC_THREE_LINES,
+    "crossings": {"1": {"2": -1}},
+}
+
 UNRECOGNIZED_MOEBIUS = {
     "kind": "representation",
     "target": "moebius",
@@ -363,6 +370,7 @@ class TestGenericityOnlyForClassify:
             ),
             (OUT_OF_RANGE_RATIO_LOG, "ratio indices outside 1..3"),
             (ZERO_RATIO_INDEX_LOG, "ratio indices outside 1..3"),
+            (NEGATIVE_CROSSINGS_LOG, "crossing counts must be non-negative"),
         ],
     )
     def test_malformed_logarithmic_config_one_line(
@@ -404,8 +412,22 @@ class TestMalformedConfigs:
                 "different degrees",
             ),
             ({"kind": "homogeneous", "exponents": ["1/0", "1"]}, "zero denominator"),
+            (dict(REPRESENTATION_Z, images=[]), "images must be a JSON object"),
+            (dict(OUT_OF_RANGE_RATIO_LOG, ratios=[1]), "ratios must be a JSON object"),
+            (
+                dict(OUT_OF_RANGE_RATIO_LOG, ratios={"1": [1]}),
+                "ratios row 1 must be a JSON object",
+            ),
+            (
+                {"kind": "logarithmic", "components": GENERIC_THREE_LINES,
+                 "crossings": {"1": [1]}},
+                "crossings row 1 must be a JSON object",
+            ),
         ],
-        ids=["top-level-array", "permutation-degrees", "zero-denominator"],
+        ids=[
+            "top-level-array", "permutation-degrees", "zero-denominator",
+            "images-array", "ratios-array", "ratios-row-array", "crossings-row-array",
+        ],
     )
     def test_one_line_and_exit_one(self, tmp_path, capsys, command, config, message):
         cfg = write_config(tmp_path, config)
@@ -445,6 +467,7 @@ class TestDeterminism:
 
     def test_console_script_entry(self, tmp_path):
         cfg = write_config(tmp_path, REPRESENTATION_Z)
+        src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [
                 sys.executable,
@@ -460,6 +483,7 @@ class TestDeterminism:
             ],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0
 

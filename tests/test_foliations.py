@@ -99,6 +99,7 @@ class TestStructuralValidation:
             (LogFoliationSpec(PROPORTIONAL, lines((1, 0), (0, 0), (-1, 0))), "nonzero"),
             (LogFoliationSpec(PROPORTIONAL, lines((1, 0))), "at least 2 components"),
             (LogFoliationSpec(PROPORTIONAL, THREE_LINES, normal_crossing=False), "normal-crossing"),
+            (LogFoliationSpec(PROPORTIONAL, THREE_LINES, crossings={1: {2: -1}}), "non-negative"),
         ],
     )
     def test_rejects_malformed_spec(self, spec, message):
@@ -174,6 +175,11 @@ class TestClassifyLogarithmic:
         verdict = classify_logarithmic(LogFoliationSpec(PROPORTIONAL, FOUR_LINES))
         assert verdict.label.name == "loch_ness_monster"
         assert verdict.computational_evidence["handle_witness"]["status"] == "confirmed"
+
+    def test_negative_crossing_count_refused(self):
+        spec = LogFoliationSpec(PROPORTIONAL, THREE_LINES, crossings={1: {2: -1}})
+        with pytest.raises(InvalidFoliationError, match="crossing counts must be non-negative"):
+            classify_logarithmic(spec)
 
     def test_refusal_path(self):
         spec = LogFoliationSpec(

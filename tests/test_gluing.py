@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from leaftype import (
     lift_cycle,
 )
 from leaftype.gluing import AbstractCover
-from leaftype.targets import MoebiusElement
+from leaftype.targets import MoebiusElement, PermutationElement
 
 
 def surface_for(rep, radius):
@@ -330,3 +331,87 @@ class TestFiniteCoverAgainstFormula:
         assert (s.genus, s.r) == (0, 8)
         small = surface_for(rep, 1)
         assert small.genus >= 0  # partial nonabelian balls stay consistent
+
+
+class TestParityProperties:
+    """Algebraic laws of the mod-2 intersection form on seeded kernel words."""
+
+    @staticmethod
+    def kernel_words(rep, rng, count):
+        gens = rep.presentation.free_gens
+
+        def random_word():
+            w = Word()
+            for _ in range(rng.randint(1, 3)):
+                w = w * Word.generator(rng.choice(gens), rng.choice((1, -1)))
+            return w
+
+        c1, c2 = Word.generator("c1"), Word.generator("c2")
+        # the witness pair of the cyclic and mixed covers above, where it is kernel
+        words = [
+            w for w in (commutator(c1, c2), commutator(c1.inverse(), c2))
+            if rep.evaluate(w).is_identity
+        ]
+        while len(words) < count:
+            u, v = random_word(), random_word()
+            for w in (commutator(u, v), u ** 2, u ** 3, commutator(u, v) ** 3):
+                if w.letters and rep.evaluate(w).is_identity and w not in words:
+                    words.append(w)
+                    break
+        return words
+
+    @staticmethod
+    def covers():
+        t = symbol("t")
+        permutation = Representation(
+            SurfacePresentation(0, 3),
+            "permutation",
+            {
+                "c1": PermutationElement.of([1, 0, 2]),
+                "c2": PermutationElement.of([0, 2, 1]),
+            },
+        )
+        return [
+            ("circle", circle_rep(3, [t, rational(1, 2), rational(1, 2) - t]), 8),
+            ("permutation", permutation, 6),
+            (
+                "trivial generator",
+                circle_rep(4, [t, rational(1, 3), rational(0), rational(2, 3) - t]),
+                8,
+            ),
+        ]
+
+    def test_symmetric_additive_and_base_independent(self):
+        rng = random.Random(20261018)
+        odd_pairs = 0
+        busiest_edge = 0
+        for name, rep, radius in self.covers():
+            s = surface_for(rep, radius)
+            words = self.kernel_words(rep, rng, 5)
+            root = s.ball.root
+            other = next(k for k in sorted(s.ball.distances) if s.ball.distances[k] == 1)
+
+            def lift(w, base=root):
+                p = lift_cycle(rep, s, w, base)
+                assert p.closed, (name, w)
+                return p
+
+            def parity(a, b, base=root):
+                return intersection_number_mod2(lift(a, base), lift(b, base))
+
+            for a in words:
+                assert parity(a, a) == 0, (name, a)
+                for b in words:
+                    bit = parity(a, b)
+                    odd_pairs += bit
+                    assert bit == parity(b, a), (name, a, b)
+                    assert bit == parity(a, b, other), (name, a, b)
+                    steps = lift(a).crossings + lift(b).crossings
+                    edges = Counter(
+                        (r.pair, frozenset((r.from_face, r.to_face))) for r in steps
+                    )
+                    busiest_edge = max(busiest_edge, max(edges.values(), default=0))
+                    for c in words:
+                        assert parity(a, b * c) == (bit + parity(a, c)) % 2, (name, a, b, c)
+        assert odd_pairs >= 1
+        assert busiest_edge >= 3
