@@ -61,7 +61,8 @@ class LogFoliationSpec:
     ratios: Dict[int, Dict[int, ExponentScalar]] = field(default_factory=dict)
     normal_crossing: bool = True
     generic_asserted: bool = False
-    # optional override: crossings[j][k] = number of points of D_j cap D_k
+    # optional restatement: crossings[j][k] = number of points of D_j cap D_k,
+    # which validation requires to be the Bezout number d_j*d_k
     crossings: Dict[int, Dict[int, int]] = field(default_factory=dict)
 
     @property
@@ -126,9 +127,10 @@ def validate_log_structure(spec: LogFoliationSpec) -> GenericityReport:
     At least two components, all of positive degree; a known mode; nonzero
     residues in proportional mode, and in explicit-ratio mode ratio data
     whose component indices lie in 1..r; the exact residue relation
-    sum d_j lambda_j = 0; non-negative crossing-count overrides; and a
-    normal-crossing divisor, so that every crossing is a transverse double
-    point whose loop has the single multiplier exp(2*pi*i*lambda_k/lambda_j).
+    sum d_j lambda_j = 0; crossing-count overrides equal to the Bezout
+    number d_j*d_k; and a normal-crossing divisor, so that every crossing is
+    a transverse double point whose loop has the single multiplier
+    exp(2*pi*i*lambda_k/lambda_j).
     Genericity is not checked: a residue ratio may be a negative real.
     """
     return _check_log_spec(spec, genericity=False)
@@ -221,17 +223,29 @@ def _check_log_spec(spec: LogFoliationSpec, genericity: bool) -> GenericityRepor
             )
     else:
         failures.append("unknown mode %r" % (spec.mode,))
-    if any(count < 0 for row in spec.crossings.values() for count in row.values()):
+    overrides = [
+        (j, k, n) for j, row in sorted(spec.crossings.items()) for k, n in sorted(row.items())
+    ]
+    if any(n < 0 for _, _, n in overrides):
         failures.append("crossing counts must be non-negative")
+    for j, k, n in overrides:
+        if j == k or not (1 <= j <= spec.r and 1 <= k <= spec.r):
+            failures.append(
+                "crossing override %d, %d does not name two distinct components in 1..%d"
+                % (j, k, spec.r)
+            )
+        elif n >= 0 and n != _crossing_count(spec, j, k):
+            failures.append(
+                "crossing count of D_%d and D_%d must be the Bezout number %d, not %d"
+                % (j, k, _crossing_count(spec, j, k), n)
+            )
     if not spec.normal_crossing:
         failures.append("the classification assumes a normal-crossing divisor")
     return GenericityReport(not failures, failures, decided, notes)
 
 
 def _crossing_count(spec: LogFoliationSpec, j: int, k: int) -> int:
-    override = spec.crossings.get(j, {}).get(k)
-    if override is not None:
-        return override
+    """Bezout: a normal-crossing D_j meets D_k in d_j*d_k transverse points."""
     return spec.components[j - 1].degree * spec.components[k - 1].degree
 
 
@@ -239,11 +253,12 @@ def component_holonomy(spec: LogFoliationSpec, j: int) -> Representation:
     """Holonomy representation of the j-th invariant component.
 
     The component minus the crossing points is a surface of genus
-    (d-1)(d-2)/2 with one puncture per intersection point (Bezout count for
-    plane curves, overridable); the loop around a crossing with component k
-    maps to the multiplier exp(2*pi*i*lambda_k/lambda_j). Handle generators
-    default to trivial holonomy, which is only geometry-complete for genus
-    zero components; witnesses using such handles are flagged.
+    (d-1)(d-2)/2 with one puncture per intersection point (the Bezout
+    count, which validation holds every crossing override to); the loop
+    around a crossing with component k maps to the multiplier
+    exp(2*pi*i*lambda_k/lambda_j). Handle generators default to trivial
+    holonomy, which is only geometry-complete for genus zero components;
+    witnesses using such handles are flagged.
     """
     if not 1 <= j <= spec.r:
         raise ValueError("component index %d out of range" % j)

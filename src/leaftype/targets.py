@@ -2,14 +2,15 @@
 
 Circle elements are exp(2*pi*i*x) with x an ExponentScalar, stored with the
 rational constant reduced mod 1 so equality is a plain data comparison.
-Moebius elements are projective 2x2 matrices over the Gaussian rationals in
-a canonical scaling. Permutations realize finite deck groups. Each target
-knows how to compose, invert, test identity and compute exact element orders.
+Moebius elements are projective 2x2 matrices over the Gaussian rationals,
+stored as eight integer parts over one positive denominator in a canonical
+scaling, so composing them is integer arithmetic with one gcd and no
+Fraction. Permutations realize finite deck groups. Each target knows how to
+compose, invert, test identity and compute exact element orders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
@@ -27,11 +28,24 @@ Order = Union[int, str]
 INFINITE: str = "infinite"
 
 
-@dataclass(frozen=True)
 class CircleElement:
     """exp(2*pi*i*exponent); the identity iff the exponent is an integer."""
 
-    exponent: ExponentScalar
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: ExponentScalar):
+        self.exponent = exponent
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CircleElement):
+            return NotImplemented
+        return self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash(self.exponent)
+
+    def __repr__(self) -> str:
+        return "CircleElement(%s)" % self.key()
 
     @staticmethod
     def of(exponent: ExponentScalar) -> "CircleElement":
@@ -66,52 +80,82 @@ class CircleElement:
         return "circ[%s]" % self.exponent.key()
 
 
-@dataclass(frozen=True)
 class MoebiusElement:
     """An element of PSL(2, C) with Gaussian-rational entries.
 
-    Stored in canonical projective form: entries divided through by the
-    first nonzero one in (a, b, c, d) order, so equality is entry-wise.
+    Stored as one canonical tuple of nine ints, parts = (ar, ai, br, bi, cr,
+    ci, dr, di, den): entry a is (ar + ai*i)/den, and so on. den > 0, the
+    nine ints have gcd 1, and the first nonzero entry in (a, b, c, d) order
+    is den + 0i. That is the matrix divided through by its first nonzero
+    entry, so equality is a tuple comparison. Construct through of(),
+    identity() or the group operations; the constructor takes parts that are
+    already canonical.
     """
 
-    a: GaussianRational
-    b: GaussianRational
-    c: GaussianRational
-    d: GaussianRational
+    __slots__ = ("parts", "_key")
+
+    def __init__(self, parts: Tuple[int, ...]):
+        self.parts = parts
+        self._key: str | None = None
 
     @staticmethod
     def of(a, b, c, d) -> "MoebiusElement":
         entries = [_as_gaussian(v) for v in (a, b, c, d)]
-        det = entries[0] * entries[3] - entries[1] * entries[2]
-        if det.is_zero:
+        den = lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
+        ints = [x.numerator * (den // x.denominator) for e in entries for x in (e.re, e.im)]
+        ar, ai, br, bi, cr, ci, dr, di = ints
+        # ad == bc, in real and imaginary parts
+        if ar * dr - ai * di == br * cr - bi * ci and ar * di + ai * dr == br * ci + bi * cr:
             raise ValueError("matrix is singular: determinant vanishes")
-        scale = next(e for e in entries if not e.is_zero)
-        if scale != GR_ONE:
-            entries = [e / scale for e in entries]
-        return MoebiusElement(*entries)
+        return _moebius_from_matrix(*ints)
 
     @staticmethod
     def identity() -> "MoebiusElement":
         return _MOEBIUS_IDENTITY
 
     def compose(self, other: "MoebiusElement") -> "MoebiusElement":
-        return MoebiusElement.of(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+        # the integer product of the numerator matrices; denominators cancel projectively
+        ar, ai, br, bi, cr, ci, dr, di, _ = self.parts
+        er, ei, fr, fi, gr, gi, hr, hi, _ = other.parts
+        return _moebius_from_matrix(
+            ar * er - ai * ei + br * gr - bi * gi,
+            ar * ei + ai * er + br * gi + bi * gr,
+            ar * fr - ai * fi + br * hr - bi * hi,
+            ar * fi + ai * fr + br * hi + bi * hr,
+            cr * er - ci * ei + dr * gr - di * gi,
+            cr * ei + ci * er + dr * gi + di * gr,
+            cr * fr - ci * fi + dr * hr - di * hi,
+            cr * fi + ci * fr + dr * hi + di * hr,
         )
 
     def inverse(self) -> "MoebiusElement":
-        return MoebiusElement.of(self.d, -self.b, -self.c, self.a)
+        ar, ai, br, bi, cr, ci, dr, di, _ = self.parts
+        return _moebius_from_matrix(dr, di, -br, -bi, -cr, -ci, ar, ai)
 
     @property
     def is_identity(self) -> bool:
-        return (
-            self.b.is_zero
-            and self.c.is_zero
-            and self.a == self.d
-        )
+        ar, ai, br, bi, cr, ci, dr, di, _ = self.parts
+        return not (br or bi or cr or ci) and ar == dr and ai == di
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MoebiusElement):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return "MoebiusElement(%s)" % self.key()
+
+    def _entry(self, i: int) -> GaussianRational:
+        den = self.parts[8]
+        return GaussianRational(Fraction(self.parts[i], den), Fraction(self.parts[i + 1], den))
+
+    a = property(lambda self: self._entry(0))
+    b = property(lambda self: self._entry(2))
+    c = property(lambda self: self._entry(4))
+    d = property(lambda self: self._entry(6))
 
     def det(self) -> GaussianRational:
         return self.a * self.d - self.b * self.c
@@ -156,16 +200,53 @@ class MoebiusElement:
         return table.get(t.re, INFINITE)
 
     def key(self) -> str:
-        cached = self.__dict__.get("_key")
-        if cached is None:
-            cached = "mob[%s;%s;%s;%s]" % (
-                self.a.key(),
-                self.b.key(),
-                self.c.key(),
-                self.d.key(),
+        """mob[a;b;c;d]: each entry as re+imi, each part as str(Fraction) prints it."""
+        key = self._key
+        if key is None:
+            q = self.parts
+            den = q[8]
+            if den == 1:
+                s = q
+            else:
+                s = []
+                for v in q[:8]:
+                    g = gcd(v, den)
+                    s.append(str(v // g) if g == den else "%d/%d" % (v // g, den // g))
+            key = self._key = "mob[%s%s%si;%s%s%si;%s%s%si;%s%s%si]" % (
+                s[0], "" if q[1] < 0 else "+", s[1],
+                s[2], "" if q[3] < 0 else "+", s[3],
+                s[4], "" if q[5] < 0 else "+", s[5],
+                s[6], "" if q[7] < 0 else "+", s[7],
             )
-            object.__setattr__(self, "_key", cached)
-        return cached
+        return key
+
+
+def _moebius_from_matrix(ar, ai, br, bi, cr, ci, dr, di) -> MoebiusElement:
+    """The canonical element of a nonsingular Gaussian-integer matrix.
+
+    Multiplies every entry by the conjugate of the first nonzero entry z,
+    which makes that entry |z|^2 + 0i, takes den = |z|^2 and divides the nine
+    ints by their gcd. A real z only needs its sign: the form is unique, so
+    the shorter route reaches the same nine ints.
+    """
+    # a = b = 0 would make the matrix singular, so z is a or b
+    zr, zi = (ar, ai) if ar or ai else (br, bi)
+    if zi:
+        parts = (
+            ar * zr + ai * zi, ai * zr - ar * zi,
+            br * zr + bi * zi, bi * zr - br * zi,
+            cr * zr + ci * zi, ci * zr - cr * zi,
+            dr * zr + di * zi, di * zr - dr * zi,
+            zr * zr + zi * zi,
+        )
+    elif zr > 0:
+        parts = (ar, ai, br, bi, cr, ci, dr, di, zr)
+    else:
+        parts = (-ar, -ai, -br, -bi, -cr, -ci, -dr, -di, -zr)
+    g = gcd(*parts)
+    if g != 1:
+        parts = tuple(v // g for v in parts)
+    return MoebiusElement(parts)
 
 
 def _as_gaussian(v) -> GaussianRational:
@@ -174,14 +255,27 @@ def _as_gaussian(v) -> GaussianRational:
     return GaussianRational.of(v)
 
 
-_MOEBIUS_IDENTITY = MoebiusElement(GR_ONE, GR_ZERO, GR_ZERO, GR_ONE)
+_MOEBIUS_IDENTITY = MoebiusElement((1, 0, 0, 0, 0, 0, 1, 0, 1))
 
 
-@dataclass(frozen=True)
 class PermutationElement:
     """A permutation of {0, ..., d-1} in one-line notation."""
 
-    mapping: Tuple[int, ...]
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: Tuple[int, ...]):
+        self.mapping = mapping
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PermutationElement):
+            return NotImplemented
+        return self.mapping == other.mapping
+
+    def __hash__(self) -> int:
+        return hash(self.mapping)
+
+    def __repr__(self) -> str:
+        return "PermutationElement(%s)" % self.key()
 
     @staticmethod
     def of(mapping: Sequence[int]) -> "PermutationElement":
@@ -245,12 +339,17 @@ def is_identity(e: Element) -> bool:
 
 
 def element_power(e: Element, n: int) -> Element:
+    """e^n by repeated squaring; e^0 is e composed with its inverse."""
     if n < 0:
-        return element_power(e.inverse(), -n)
-    acc = type(e).identity() if not isinstance(e, PermutationElement) else PermutationElement.identity_of_degree(len(e.mapping))
-    for _ in range(n):
-        acc = acc.compose(e)
-    return acc
+        e, n = e.inverse(), -n
+    acc = None
+    while n:
+        if n & 1:
+            acc = e if acc is None else acc.compose(e)
+        n >>= 1
+        if n:
+            e = e.compose(e)
+    return e.compose(e.inverse()) if acc is None else acc
 
 
 class Representation:

@@ -86,6 +86,12 @@ NEGATIVE_CROSSINGS_LOG = {
     "crossings": {"1": {"2": -1}},
 }
 
+NON_BEZOUT_CROSSINGS_LOG = {
+    "kind": "logarithmic",
+    "components": GENERIC_THREE_LINES,
+    "crossings": {"1": {"2": 3}},
+}
+
 UNRECOGNIZED_MOEBIUS = {
     "kind": "representation",
     "target": "moebius",
@@ -371,6 +377,7 @@ class TestGenericityOnlyForClassify:
             (OUT_OF_RANGE_RATIO_LOG, "ratio indices outside 1..3"),
             (ZERO_RATIO_INDEX_LOG, "ratio indices outside 1..3"),
             (NEGATIVE_CROSSINGS_LOG, "crossing counts must be non-negative"),
+            (NON_BEZOUT_CROSSINGS_LOG, "must be the Bezout number 1, not 3"),
         ],
     )
     def test_malformed_logarithmic_config_one_line(
@@ -384,6 +391,18 @@ class TestGenericityOnlyForClassify:
         assert code == 1
         assert not out
         assert message in err and err.count("\n") == 1
+
+    def test_classify_rejects_non_bezout_crossings(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, NON_BEZOUT_CROSSINGS_LOG)
+        code, out, err = run_cli(
+            ["classify", "--config", str(cfg), "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert not out and not (tmp_path / "verdict.json").exists()
+        assert err == (
+            "invalid foliation spec: crossing count of D_1 and D_2 must be the "
+            "Bezout number 1, not 3\n"
+        )
 
     @pytest.mark.parametrize(
         "config,index", [(OUT_OF_RANGE_RATIO_LOG, "5"), (ZERO_RATIO_INDEX_LOG, "0")]

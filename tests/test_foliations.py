@@ -100,6 +100,8 @@ class TestStructuralValidation:
             (LogFoliationSpec(PROPORTIONAL, lines((1, 0))), "at least 2 components"),
             (LogFoliationSpec(PROPORTIONAL, THREE_LINES, normal_crossing=False), "normal-crossing"),
             (LogFoliationSpec(PROPORTIONAL, THREE_LINES, crossings={1: {2: -1}}), "non-negative"),
+            (LogFoliationSpec(PROPORTIONAL, THREE_LINES, crossings={1: {2: 3}}), "Bezout number 1, not 3"),
+            (LogFoliationSpec(PROPORTIONAL, THREE_LINES, crossings={2: {5: 1}}), "two distinct components"),
         ],
     )
     def test_rejects_malformed_spec(self, spec, message):

@@ -126,6 +126,111 @@ class TestMoebiusElement:
                     assert not element_power(m, p).is_identity
 
 
+def _gr(re, im=0):
+    return GaussianRational.of(Fraction(re), Fraction(im))
+
+
+def _ref_normal(m):
+    """Reference projective form: the Fraction matrix divided by its first nonzero entry."""
+    z = next(x for x in m if not x.is_zero)
+    return tuple(x / z for x in m)
+
+
+def _ref_compose(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return _ref_normal((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+
+
+def _ref_key(m):
+    return "mob[%s]" % ";".join(x.key() for x in m)
+
+
+def _ref_is_identity(m):
+    return m[1].is_zero and m[2].is_zero and m[0] == m[3]
+
+
+def _ref_order(m):
+    # over Q(i) a finite order is at most 6, so powering to 12 decides it
+    acc = m
+    for k in range(1, 13):
+        if _ref_is_identity(acc):
+            return k
+        acc = _ref_compose(acc, m)
+    return "infinite"
+
+
+class TestMoebiusKernelDifferential:
+    """The integer kernel against a Fraction reference on random words."""
+
+    GENERATORS = [
+        (_gr(2, 1), _gr(1), _gr(0, Fraction(-2, 3)), _gr(0)),
+        (_gr(Fraction(1, 2), 3), _gr(Fraction(-1, 5)), _gr(0, Fraction(7, 15)), _gr(1, 1)),
+        (_gr(Fraction(4, 3)), _gr(1, Fraction(-1, 2)), _gr(Fraction(2, 5), 1), _gr(3)),
+        # first nonzero entry b; c or d would need a = b = 0, a singular matrix
+        (_gr(0), _gr(3, -1), _gr(1), _gr(Fraction(1, 2), 5)),
+        (_gr(0), _gr(Fraction(2, 15), -1), _gr(Fraction(1, 3)), _gr(0)),
+        # order 6, from test_orders_realizable_over_gaussian_rationals
+        (_gr(1, 1), _gr(1), _gr(0, Fraction(-2, 3)), _gr(0)),
+        (_gr(0), _gr(1), _gr(1), _gr(0)),
+    ]
+
+    def test_random_words_match_reference(self):
+        rng = random.Random(7)
+        letters = []
+        for entries in self.GENERATORS:
+            m = MoebiusElement.of(*entries)
+            ref = _ref_normal(entries)
+            inv = _ref_normal((entries[3], -entries[1], -entries[2], entries[0]))
+            letters += [(m, ref), (m.inverse(), inv)]
+        by_key = {}
+        for _ in range(400):
+            m, ref = MoebiusElement.identity(), (_gr(1), _gr(0), _gr(0), _gr(1))
+            for _ in range(rng.randint(0, 8)):
+                step, step_ref = rng.choice(letters)
+                m, ref = m.compose(step), _ref_compose(ref, step_ref)
+            assert m.key() == _ref_key(ref)
+            assert m.is_identity == _ref_is_identity(ref)
+            assert m.order() == _ref_order(ref)
+            assert MoebiusElement.of(m.a, m.b, m.c, m.d) == m
+            same = by_key.setdefault(m.key(), m)
+            assert same == m and hash(same) == hash(m)
+
+    @pytest.mark.parametrize(
+        "entries", [(0, 0, _gr(Fraction(-3, 5), Fraction(1, 15)), 2), (0, 0, 0, _gr(1, 1))]
+    )
+    def test_first_nonzero_c_or_d_is_singular(self, entries):
+        with pytest.raises(ValueError, match="singular"):
+            MoebiusElement.of(*entries)
+
+    def test_golden_keys(self):
+        a = MoebiusElement.of(_gr(2, 1), 1, _gr(0, Fraction(-2, 3)), 0)
+        b = MoebiusElement.of(0, _gr(3, -1), 1, _gr(Fraction(1, 2), 5))
+        assert a.key() == "mob[1+0i;2/5-1/5i;-2/15-4/15i;0+0i]"
+        assert a.inverse().key() == "mob[0+0i;1+0i;0-2/3i;-2-1i]"
+        assert b.key() == "mob[0+0i;1+0i;3/10+1/10i;-7/20+31/20i]"
+        assert a.compose(b).key() == "mob[1+0i;15/2+6i;0+0i;-2/3-2i]"
+
+
+class TestElementPower:
+    @pytest.mark.parametrize(
+        "e",
+        [
+            CircleElement.of(symbol("t") + rational(1, 3)),
+            MoebiusElement.of(_gr(1, 1), 2, _gr(0, Fraction(-2, 3)), 1),
+            PermutationElement.of([2, 0, 3, 1, 4]),
+        ],
+        ids=["circle", "moebius", "permutation"],
+    )
+    def test_power_is_repeated_compose(self, e):
+        for n in range(-7, 8):
+            step = e if n >= 0 else e.inverse()
+            acc = e.compose(e.inverse())
+            for _ in range(abs(n)):
+                acc = acc.compose(step)
+            assert element_power(e, n) == acc
+
+
 class TestPermutationElement:
     def test_bijectivity_enforced(self):
         with pytest.raises(ValueError):
