@@ -14,8 +14,6 @@ from .targets import (
     PermutationElement,
     Representation,
     abelian_free_rank,
-    element_order,
-    is_identity,
     ping_pong_free_certificate,
 )
 from .cayley import CayleyBall, build_ball, export_dot
@@ -74,7 +72,6 @@ __all__ = [
     "classify_riccati",
     "commutator",
     "component_holonomy",
-    "element_order",
     "ends_of_deck_group",
     "export_dot",
     "genus_growth",
@@ -82,7 +79,6 @@ __all__ = [
     "handle_pair_witness",
     "handle_witness_search",
     "intersection_number_mod2",
-    "is_identity",
     "lift_cycle",
     "ping_pong_free_certificate",
     "puncture_pair_witness",

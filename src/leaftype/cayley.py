@@ -1,17 +1,19 @@
 """Breadth-first Cayley balls of the deck group, with DOT and JSON export.
 
-The deck group is the image of the representation. Vertices are canonical
-element keys, the root is the identity, and the ball of radius N holds every
+The deck group is the image of the representation. Vertices are group
+elements, the root is the identity, and the ball of radius N holds every
 element expressible as the image of a word of length at most N in the
 canonical generators (c_n excluded, since the relation determines it).
 Edges are (v, gen, v * image(gen)); loops appear when a generator image
-fixes a vertex, in particular for trivial images.
+fixes a vertex, in particular for trivial images. Canonical key strings
+and edges are built only for export.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .targets import BudgetExceededError, Element, Representation
@@ -21,31 +23,51 @@ DEFAULT_VERTEX_BUDGET = 10**6
 
 @dataclass
 class CayleyBall:
+    """distances maps each vertex element (not its key) to its word length, in BFS order."""
+
     radius: int
-    root: str
-    distances: Dict[str, int]
-    edges: List[Tuple[str, str, str]]  # (source key, generator id, target key)
-    elements: Dict[str, Element] = field(repr=False, default_factory=dict)
-    representation: Representation | None = field(repr=False, default=None)
+    distances: Dict[Element, int]
+    representation: Representation = field(repr=False)
+
+    @property
+    def root(self) -> Element:
+        return next(iter(self.distances))
 
     @property
     def vertex_count(self) -> int:
         return len(self.distances)
 
-    def sorted_vertices(self) -> List[Tuple[str, int]]:
-        return sorted(self.distances.items())
+    @cached_property
+    def keys(self) -> Dict[Element, str]:
+        """The canonical key string of each vertex, built once on first export."""
+        return {v: v.key() for v in self.distances}
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.distances
+    def sorted_vertices(self) -> List[Tuple[str, int]]:
+        keys = self.keys
+        return sorted((keys[v], d) for v, d in self.distances.items())
+
+    @cached_property
+    def edges(self) -> List[Tuple[str, str, str]]:
+        """(source key, generator id, target key), sorted; built on first export."""
+        rep, keys = self.representation, self.keys
+        gens = [(name, rep.image(name)) for name in rep.presentation.cayley_gens]
+        edges = []
+        for v, k in keys.items():
+            for name, el in gens:
+                w = v if el.is_identity else v.compose(el)
+                if w in keys:
+                    edges.append((k, name, keys[w]))
+        edges.sort()
+        return edges
 
     def to_json_dict(self) -> dict:
         return {
             "radius": self.radius,
-            "root": self.root,
+            "root": self.keys[self.root],
             "vertices": [
                 {"key": k, "distance": d} for k, d in self.sorted_vertices()
             ],
-            "edges": [list(e) for e in sorted(self.edges)],
+            "edges": [list(e) for e in self.edges],
         }
 
 
@@ -55,16 +77,11 @@ def build_ball(
     """BFS ball of the deck group in the word metric of the canonical generators."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    gens = [(g, rep.image(g)) for g in rep.presentation.cayley_gens]
-    steps = []
-    for name, el in gens:
-        if el.is_identity:
-            continue  # stepping by a trivial image never leaves the vertex
-        steps.append(el)
-        steps.append(el.inverse())
+    gens = [rep.image(name) for name in rep.presentation.cayley_gens]
+    # stepping by a trivial image never leaves the vertex
+    steps = [h for g in gens if not g.is_identity for h in (g, g.inverse())]
     root = rep.identity()
-    distances: Dict[str, int] = {root.key(): 0}
-    elements: Dict[str, Element] = {root.key(): root}
+    distances: Dict[Element, int] = {root: 0}
     queue = deque([(root, 0)])
     while queue:
         v, d = queue.popleft()
@@ -72,25 +89,12 @@ def build_ball(
             continue
         for el in steps:
             w = v.compose(el)
-            k = w.key()
-            if k not in distances:
+            if w not in distances:
                 if len(distances) >= vertex_budget:
                     raise BudgetExceededError("Cayley ball vertex count", vertex_budget)
-                distances[k] = d + 1
-                elements[k] = w
+                distances[w] = d + 1
                 queue.append((w, d + 1))
-    edges: List[Tuple[str, str, str]] = []
-    for k in sorted(distances):
-        v = elements[k]
-        for name, el in gens:
-            if el.is_identity:
-                edges.append((k, name, k))
-                continue
-            w = v.compose(el)
-            if w.key() in distances:
-                edges.append((k, name, w.key()))
-    edges.sort()
-    return CayleyBall(radius, root.key(), distances, edges, elements, rep)
+    return CayleyBall(radius, distances, rep)
 
 
 def export_dot(ball: CayleyBall) -> str:
@@ -103,7 +107,7 @@ def export_dot(ball: CayleyBall) -> str:
     lines = ["digraph cayley_ball {"]
     for k, dist in ball.sorted_vertices():
         lines.append('  "v%d" [label="%d"]; // %s' % (order[k], dist, k))
-    for src, gen, dst in sorted(ball.edges):
+    for src, gen, dst in ball.edges:
         lines.append('  "v%d" -> "v%d" [label="%s"];' % (order[src], order[dst], gen))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -32,7 +32,6 @@ from .targets import (
     Representation,
     circle_free_rank,
     deck_group_is_finite,
-    element_order,
     element_power,
     enumerate_group,
     ping_pong_free_certificate,
@@ -151,7 +150,7 @@ class EndsReport:
 def boundary_orders(rep: Representation) -> List[Order]:
     """Exact holonomy order of each puncture loop c_1 .. c_n."""
     return [
-        element_order(rep.image(c)) for c in rep.presentation.boundary_gens
+        rep.image(c).order() for c in rep.presentation.boundary_gens
     ]
 
 
@@ -172,8 +171,8 @@ def _ends_of_group(rep: Representation, images: Sequence[Element]) -> str:
     nontrivial = []
     seen = set()
     for el in images:
-        if not el.is_identity and el.key() not in seen:
-            seen.add(el.key())
+        if not el.is_identity and el not in seen:
+            seen.add(el)
             nontrivial.append(el)
     if not nontrivial:
         return ENDS_ZERO
@@ -185,13 +184,13 @@ def _ends_of_group(rep: Representation, images: Sequence[Element]) -> str:
     if rep.kind == PERMUTATION:
         return ENDS_ZERO
     # Moebius
-    orders = [element_order(e) for e in nontrivial]
+    orders = [e.order() for e in nontrivial]
     if all(o != INFINITE for o in orders):
         if enumerate_group(rep.identity(), nontrivial, MOEBIUS_FINITE_CAP) is not None:
             return ENDS_ZERO
         return ENDS_INCONCLUSIVE
     distinct = _distinct_up_to_inverse(nontrivial)
-    if len(distinct) == 1 and element_order(distinct[0]) == INFINITE:
+    if len(distinct) == 1 and distinct[0].order() == INFINITE:
         return ENDS_TWO
     if len(distinct) == 2 and ping_pong_free_certificate(distinct[0], distinct[1]):
         return ENDS_CANTOR
@@ -202,10 +201,10 @@ def _distinct_up_to_inverse(elements: Sequence[Element]) -> List[Element]:
     out: List[Element] = []
     seen = set()
     for e in elements:
-        if e.key() in seen:
+        if e in seen:
             continue
-        seen.add(e.key())
-        seen.add(e.inverse().key())
+        seen.add(e)
+        seen.add(e.inverse())
         out.append(e)
     return out
 
@@ -253,7 +252,7 @@ class _SearchCtx:
 
     def order(self, gen: str) -> Order:
         if gen not in self._orders:
-            self._orders[gen] = element_order(self.rep.image(gen))
+            self._orders[gen] = self.rep.image(gen).order()
         return self._orders[gen]
 
     def order_exceeds(self, gen: str, bound: int) -> bool:
@@ -279,18 +278,18 @@ class _SearchCtx:
 
 def _cyclic_intersection_size(x: Element, y: Element) -> Optional[int]:
     """|<x> âˆ© <y>| for two finite-order elements; None if either is infinite."""
-    ox, oy = element_order(x), element_order(y)
+    ox, oy = x.order(), y.order()
     if ox == INFINITE or oy == INFINITE:
         return None
     xs = set()
     acc = x.compose(x.inverse())
     for _ in range(int(ox)):
-        xs.add(acc.key())
+        xs.add(acc)
         acc = acc.compose(x)
     count = 0
     acc = y.compose(y.inverse())
     for _ in range(int(oy)):
-        if acc.key() in xs:
+        if acc in xs:
             count += 1
         acc = acc.compose(y)
     return count

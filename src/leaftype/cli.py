@@ -6,7 +6,8 @@
 
 One JSON config schema serves all entry points, discriminated by "kind":
 logarithmic, homogeneous, riccati or representation. Symbols standing for
-residues asserted Q-independent are declared once in a "symbols" array.
+residues asserted Q-independent are declared once in a "symbols" array of
+identifiers.
 Exit codes: 0 classified, 1 invalid input, 2 budget exhausted,
 3 inconclusive.
 
@@ -108,9 +109,21 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _symbols(cfg: dict) -> List[str]:
+    """The declared symbol names; identifiers only, so no name reads as a
+    number or as part of another scalar's key."""
+    symbols = cfg.get("symbols", [])
+    if not isinstance(symbols, list):
+        raise ValueError("symbols must be a JSON array")
+    for name in symbols:
+        if not (isinstance(name, str) and name.isidentifier()):
+            raise ValueError("symbol name %r is not an identifier" % (name,))
+    return symbols
+
+
 def _representation_data(cfg: dict) -> Tuple[SurfacePresentation, str, Dict[str, Element]]:
     """Presentation, target kind and parsed generator images of a config."""
-    symbols = cfg.get("symbols", [])
+    symbols = _symbols(cfg)
     target = cfg.get("target")
     if target not in (CIRCLE, MOEBIUS, PERMUTATION):
         raise ValueError("representation config needs target circle|moebius|permutation")
@@ -136,12 +149,12 @@ def _representation_data(cfg: dict) -> Tuple[SurfacePresentation, str, Dict[str,
 
 
 def _homogeneous_exponents(cfg: dict) -> List[ExponentScalar]:
-    symbols = cfg.get("symbols", [])
+    symbols = _symbols(cfg)
     return [parse_scalar(v, symbols) for v in cfg.get("exponents", [])]
 
 
 def _build_log_spec(cfg: dict) -> LogFoliationSpec:
-    symbols = cfg.get("symbols", [])
+    symbols = _symbols(cfg)
     mode = cfg.get("mode", PROPORTIONAL)
     comps = []
     for entry in cfg.get("components", []):

@@ -204,8 +204,8 @@ class GluedSurface:
         self.representation = rep
         self.ball = ball
         self.template = DomainTemplate(rep.presentation)
-        self.face_keys: List[str] = sorted(ball.distances)
-        self.face_index: Dict[str, int] = {k: i for i, k in enumerate(self.face_keys)}
+        self.faces: List[Element] = list(ball.distances)
+        self.face_index: Dict[Element, int] = {v: i for i, v in enumerate(self.faces)}
         self._shift_elements = self.template.shift_elements(rep)
         self._glue()
         self._count()
@@ -215,18 +215,14 @@ class GluedSurface:
     def _glue(self) -> None:
         tpl = self.template
         self.pairings: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        elements = self.ball.elements
-        for fi, key in enumerate(self.face_keys):
-            v = elements[key]
+        for fi, v in enumerate(self.faces):
             for name, pair in tpl.pairs.items():
-                w = v.compose(self._shift_elements[name])
-                wk = w.key()
-                if wk in self.face_index:
-                    fj = self.face_index[wk]
+                fj = self.face_index.get(v.compose(self._shift_elements[name]))
+                if fj is not None:
                     self.pairings[(fi, pair.pos_slot)] = (fj, pair.neg_slot)
                     self.pairings[(fj, pair.neg_slot)] = (fi, pair.pos_slot)
         self.free_sides: List[Tuple[int, int]] = []
-        for fi in range(len(self.face_keys)):
+        for fi in range(len(self.faces)):
             for slot in range(tpl.size):
                 if (fi, slot) not in self.pairings:
                     self.free_sides.append((fi, slot))
@@ -237,7 +233,7 @@ class GluedSurface:
 
     def _count(self) -> None:
         L = self.template.size
-        nfaces = len(self.face_keys)
+        nfaces = len(self.faces)
         uf = _UnionFind(nfaces * L)
         seen = set()
         for (fi, p), (fj, q) in self.pairings.items():
@@ -272,7 +268,7 @@ class GluedSurface:
     def _trace_vertex_cycles(self) -> int:
         """Independent vertex count: orbits of the corner rotation map."""
         L = self.template.size
-        nfaces = len(self.face_keys)
+        nfaces = len(self.faces)
         visited = [False] * (nfaces * L)
         count = 0
         # chains start where the incoming slot is unglued
@@ -331,15 +327,15 @@ class GluedSurface:
         return out
 
     def _component_faces(self) -> None:
-        uf = _UnionFind(len(self.face_keys))
+        uf = _UnionFind(len(self.faces))
         for (fi, _), (fj, _) in self.pairings.items():
             uf.union(fi, fj)
-        roots = {uf.find(i) for i in range(len(self.face_keys))}
+        roots = {uf.find(i) for i in range(len(self.faces))}
         self.n_components = len(roots)
         self.connected = self.n_components == 1
         root_face = self.face_index[self.ball.root]
         self.root_faces = {
-            i for i in range(len(self.face_keys)) if uf.find(i) == uf.find(root_face)
+            i for i in range(len(self.faces)) if uf.find(i) == uf.find(root_face)
         }
 
     def _root_invariants(self) -> None:
@@ -427,24 +423,24 @@ class AbstractCover:
         self._shift_elements = self.template.shift_elements(rep)
 
     def lift(self, word: Word) -> "LiftedPath":
-        return _lift(self, self.representation.identity(), word, lambda key: True)
+        return _lift(self, self.representation.identity(), word, lambda face: True)
 
 
 @dataclass
 class CrossingRecord:
     pair: str
     direction: int
-    from_face: str
-    to_face: str
+    from_face: Element
+    to_face: Element
 
 
 @dataclass
 class LiftedPath:
-    base: str
+    base: Element
     surface: object  # GluedSurface or AbstractCover
     crossings: List[CrossingRecord]
     complete: bool
-    end_face: Optional[str]
+    end_face: Optional[Element]
 
     @property
     def exits_ball(self) -> bool:
@@ -458,30 +454,28 @@ class LiftedPath:
         return len(self.crossings)
 
 
-def _lift(surface, start: Element, word: Word, has_face: Callable[[str], bool]) -> LiftedPath:
+def _lift(surface, start: Element, word: Word, has_face: Callable[[Element], bool]) -> LiftedPath:
     """Cross one glued edge per step of the word's path, starting at face start.
 
     Stops with an open path at the first face for which has_face is false.
     """
-    base = cur_key = start.key()
     cur = start
     records: List[CrossingRecord] = []
     for pair, d in surface.template.word_path(word):
         shift = surface._shift_elements[pair]
         nxt = cur.compose(shift if d == 1 else shift.inverse())
-        nxt_key = nxt.key()
-        if not has_face(nxt_key):
-            return LiftedPath(base, surface, records, False, None)
-        records.append(CrossingRecord(pair, d, cur_key, nxt_key))
-        cur, cur_key = nxt, nxt_key
-    return LiftedPath(base, surface, records, True, cur_key)
+        if not has_face(nxt):
+            return LiftedPath(start, surface, records, False, None)
+        records.append(CrossingRecord(pair, d, cur, nxt))
+        cur = nxt
+    return LiftedPath(start, surface, records, True, cur)
 
 
 def lift_cycle(
     rep: Representation,
     ball_or_surface,
     word: Word,
-    base: Optional[str] = None,
+    base: Optional[Element] = None,
 ) -> LiftedPath:
     """Lift the pushed-off loop of a word to the glued surface at a base face.
 
@@ -498,7 +492,7 @@ def lift_cycle(
     base = base if base is not None else ball.root
     if base not in ball.distances:
         raise ValueError("base face %r is not in the ball" % (base,))
-    return _lift(surface, ball.elements[base], word, ball.distances.__contains__)
+    return _lift(surface, base, word, ball.distances.__contains__)
 
 
 def intersection_number_mod2(p1: LiftedPath, p2: LiftedPath) -> int:
@@ -523,24 +517,27 @@ def intersection_number_mod2(p1: LiftedPath, p2: LiftedPath) -> int:
     tpl = p1.surface.template
     steps = p1.crossings + p2.crossings
     M = len(steps) + 1
+    # a pair with a trivial shift glues every face to itself
+    self_glued = {name for name, s in p1.surface._shift_elements.items() if s.is_identity}
 
-    def position(k: int, face: str, entering: bool) -> int:
+    def position(k: int, entering: bool) -> int:
         rec = steps[k]
         pair = tpl.pairs[rec.pair]
         slot = pair.neg_slot if (rec.direction == 1) == entering else pair.pos_slot
-        pos_face = rec.from_face if rec.direction == 1 else rec.to_face
-        # wrong on an edge glued to its own face (CHANGES.md FOUND): use slot == pair.pos_slot
-        return slot * M + (k + 1 if face == pos_face else M - k - 1)
+        # the endpoint's face is the pos-side face on the pos slot, and on both
+        # slots of a self-glued pair; the latter is wrong (CHANGES.md FOUND)
+        on_pos_face = slot == pair.pos_slot or rec.pair in self_glued
+        return slot * M + (k + 1 if on_pos_face else M - k - 1)
 
-    def chords_for(first: int, n: int) -> Dict[str, List[Tuple[int, int]]]:
-        out: Dict[str, List[Tuple[int, int]]] = {}
+    def chords_for(first: int, n: int) -> Dict[Element, List[Tuple[int, int]]]:
+        out: Dict[Element, List[Tuple[int, int]]] = {}
         for i in range(n):
             k_in, k_out = first + i, first + (i + 1) % n
             face = steps[k_in].to_face
             if steps[k_out].from_face != face:
                 raise InternalConsistencyError("crossing records are not contiguous")
             out.setdefault(face, []).append(
-                (position(k_in, face, True), position(k_out, face, False))
+                (position(k_in, True), position(k_out, False))
             )
         return out
 

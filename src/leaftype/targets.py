@@ -1,19 +1,20 @@
 """The three exact holonomy target groups and representations into them.
 
 Circle elements are exp(2*pi*i*x) with x an ExponentScalar, stored with the
-rational constant reduced mod 1 so equality is a plain data comparison.
+rational constant reduced mod 1 so equal elements have equal keys.
 Moebius elements are projective 2x2 matrices over the Gaussian rationals,
 stored as eight integer parts over one positive denominator in a canonical
 scaling, so composing them is integer arithmetic with one gcd and no
 Fraction. Permutations realize finite deck groups. Each target knows how to
-compose, invert, test identity and compute exact element orders.
+compose, invert, test identity and compute exact element orders. Elements
+are their own dict and set keys; key() strings are for export and messages.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Set, Tuple, Union
 
 from .scalars import (
     GR_ONE,
@@ -29,20 +30,26 @@ INFINITE: str = "infinite"
 
 
 class CircleElement:
-    """exp(2*pi*i*exponent); the identity iff the exponent is an integer."""
+    """exp(2*pi*i*exponent); the identity iff the exponent is an integer.
 
-    __slots__ = ("exponent",)
+    Equality and hashing go through the cached key string: hashing the
+    exponent's Fractions costs more than building the key once. They read
+    the cache before calling key(), which halves their cost on a hit.
+    """
+
+    __slots__ = ("exponent", "_key")
 
     def __init__(self, exponent: ExponentScalar):
         self.exponent = exponent
+        self._key: str | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircleElement):
             return NotImplemented
-        return self.exponent == other.exponent
+        return self is other or (self._key or self.key()) == (other._key or other.key())
 
     def __hash__(self) -> int:
-        return hash(self.exponent)
+        return hash(self._key or self.key())
 
     def __repr__(self) -> str:
         return "CircleElement(%s)" % self.key()
@@ -77,7 +84,10 @@ class CircleElement:
         return self.exponent.rational_value.denominator
 
     def key(self) -> str:
-        return "circ[%s]" % self.exponent.key()
+        key = self._key
+        if key is None:
+            key = self._key = "circ[%s]" % self.exponent.key()
+        return key
 
 
 class MoebiusElement:
@@ -92,11 +102,10 @@ class MoebiusElement:
     already canonical.
     """
 
-    __slots__ = ("parts", "_key")
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Tuple[int, ...]):
         self.parts = parts
-        self._key: str | None = None
 
     @staticmethod
     def of(a, b, c, d) -> "MoebiusElement":
@@ -201,24 +210,21 @@ class MoebiusElement:
 
     def key(self) -> str:
         """mob[a;b;c;d]: each entry as re+imi, each part as str(Fraction) prints it."""
-        key = self._key
-        if key is None:
-            q = self.parts
-            den = q[8]
-            if den == 1:
-                s = q
-            else:
-                s = []
-                for v in q[:8]:
-                    g = gcd(v, den)
-                    s.append(str(v // g) if g == den else "%d/%d" % (v // g, den // g))
-            key = self._key = "mob[%s%s%si;%s%s%si;%s%s%si;%s%s%si]" % (
-                s[0], "" if q[1] < 0 else "+", s[1],
-                s[2], "" if q[3] < 0 else "+", s[3],
-                s[4], "" if q[5] < 0 else "+", s[5],
-                s[6], "" if q[7] < 0 else "+", s[7],
-            )
-        return key
+        q = self.parts
+        den = q[8]
+        if den == 1:
+            s = q
+        else:
+            s = []
+            for v in q[:8]:
+                g = gcd(v, den)
+                s.append(str(v // g) if g == den else "%d/%d" % (v // g, den // g))
+        return "mob[%s%s%si;%s%s%si;%s%s%si;%s%s%si]" % (
+            s[0], "" if q[1] < 0 else "+", s[1],
+            s[2], "" if q[3] < 0 else "+", s[3],
+            s[4], "" if q[5] < 0 else "+", s[5],
+            s[6], "" if q[7] < 0 else "+", s[7],
+        )
 
 
 def _moebius_from_matrix(ar, ai, br, bi, cr, ci, dr, di) -> MoebiusElement:
@@ -329,15 +335,6 @@ PERMUTATION = "permutation"
 TARGET_KINDS = (CIRCLE, MOEBIUS, PERMUTATION)
 
 
-def element_order(e: Element) -> Order:
-    """Exact order of a target element; 'infinite' when no power is trivial."""
-    return e.order()
-
-
-def is_identity(e: Element) -> bool:
-    return e.is_identity
-
-
 def element_power(e: Element, n: int) -> Element:
     """e^n by repeated squaring; e^0 is e composed with its inverse."""
     if n < 0:
@@ -392,7 +389,7 @@ class Representation:
     def _check_consistency(self, leftover: Dict[str, Element], last: str | None) -> None:
         if last is not None and last in leftover:
             supplied = leftover.pop(last)
-            if supplied.key() != self._images[last].key():
+            if supplied != self._images[last]:
                 raise ValueError(
                     "supplied image of %s (%s) conflicts with the value the "
                     "relation forces (%s)" % (last, supplied.key(), self._images[last].key())
@@ -530,31 +527,24 @@ def _moebius_sending(to_zero: GaussianRational | None, to_inf: GaussianRational 
     return MoebiusElement.of(GR_ONE, -to_zero, GR_ONE, -to_inf)
 
 
-def enumerate_image_group(rep: Representation, cap: int) -> List[Element] | None:
-    """All elements of the image group, sorted by key, or None if it exceeds cap."""
-    gens = [rep.image(g) for g in rep.presentation.free_gens]
-    seen = enumerate_group(rep.identity(), gens, cap)
-    return None if seen is None else [seen[k] for k in sorted(seen)]
-
-
-def enumerate_group(identity: Element, gens: Sequence[Element], cap: int) -> Dict[str, Element] | None:
-    """Key -> element for the group the gens generate, or None if it exceeds cap.
+def enumerate_group(identity: Element, gens: Sequence[Element], cap: int) -> Set[Element] | None:
+    """The group the gens generate, or None if it exceeds cap.
 
     Breadth-first closure under the generators and their inverses; exact
-    because element keys are canonical.
+    because element equality is canonical.
     """
     steps = [h for g in gens if not g.is_identity for h in (g, g.inverse())]
-    seen = {identity.key(): identity}
+    seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for v in frontier:
             for h in steps:
                 w = v.compose(h)
-                if w.key() not in seen:
+                if w not in seen:
                     if len(seen) >= cap:
                         return None
-                    seen[w.key()] = w
+                    seen.add(w)
                     nxt.append(w)
         frontier = nxt
     return seen

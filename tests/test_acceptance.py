@@ -175,7 +175,7 @@ def test_criterion_2_dual_pipeline_riemann_hurwitz():
 
 def _third_party_chi(s):
     L = s.template.size
-    parent = list(range(len(s.face_keys) * L))
+    parent = list(range(len(s.faces) * L))
 
     def find(x):
         while parent[x] != x:
@@ -195,7 +195,7 @@ def _third_party_chi(s):
                 parent[b] = a
     vertices = len({find(x) for x in range(len(parent))})
     edges = pair_count + len(s.free_sides)
-    return vertices - edges + len(s.face_keys)
+    return vertices - edges + len(s.faces)
 
 
 def test_criterion_3_euler_characteristic_soundness():

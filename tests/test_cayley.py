@@ -50,7 +50,7 @@ class TestBuildBall:
         assert len(keys) == 17
         ball = build_ball(free_rank_two_rep, 2)
         assert ball.vertex_count == len(keys)
-        assert set(ball.distances) == keys
+        assert {v.key() for v in ball.distances} == keys
 
     def test_monotone_in_radius(self, log3_case2):
         previous = set()
@@ -88,7 +88,7 @@ class TestBuildBall:
                 k = el.key()
                 if k not in best:
                     best[k] = length
-        assert best == ball.distances
+        assert best == {v.key(): d for v, d in ball.distances.items()}
 
     def test_budget_enforced(self, log3_case3):
         with pytest.raises(BudgetExceededError) as err:

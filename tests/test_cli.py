@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from leaftype.cli import main
+from leaftype.targets import MoebiusElement
 
 HOMOGENEOUS_CASE1 = {
     "kind": "homogeneous",
@@ -27,6 +28,16 @@ REPRESENTATION_Z = {
     "images": {"c1": "t"},
 }
 
+# two independent symbols; classify confirms a witness (loch_ness_monster)
+CIRCLE_TWO_SYMBOLS = {
+    "kind": "representation",
+    "target": "circle",
+    "genus": 0,
+    "punctures": 4,
+    "symbols": ["t", "u"],
+    "images": {"c1": "t", "c2": "u", "c3": {"real": {"t": "-1"}}},
+}
+
 RICCATI_LADDER = {
     "kind": "riccati",
     "genus": 2,
@@ -34,6 +45,19 @@ RICCATI_LADDER = {
     "images": {
         "a1": [["1", "1"], ["0", "1"]],
         "a2": [["1", "0"], ["0", "1"]],
+        "b1": [["1", "0"], ["0", "1"]],
+        "b2": [["1", "0"], ["0", "1"]],
+    },
+}
+
+# the certified ping-pong pair a1 -> [[1, 2+i], [0, 1]], a2 -> [[1, 0], [2+i, 1]]
+GENUS2_PING_PONG = {
+    "kind": "riccati",
+    "genus": 2,
+    "punctures": 0,
+    "images": {
+        "a1": [["1", {"re": "2", "im": "1"}], ["0", "1"]],
+        "a2": [["1", "0"], [{"re": "2", "im": "1"}, "1"]],
         "b1": [["1", "0"], ["0", "1"]],
         "b2": [["1", "0"], ["0", "1"]],
     },
@@ -442,10 +466,30 @@ class TestMalformedConfigs:
                  "crossings": {"1": [1]}},
                 "crossings row 1 must be a JSON object",
             ),
+            # "x+1*y" would print like x + y, so c1 and c2 would share one key
+            (
+                dict(CIRCLE_TWO_SYMBOLS, symbols=["x", "y", "x+1*y"],
+                     images={"c1": {"real": {"x": "1", "y": "1"}}, "c2": "x+1*y"}),
+                "symbol name 'x+1*y' is not an identifier",
+            ),
+            (
+                {"kind": "homogeneous", "symbols": ["1/2"], "exponents": ["1/2", "1/2"]},
+                "symbol name '1/2' is not an identifier",
+            ),
+            (
+                {"kind": "logarithmic", "components": GENERIC_THREE_LINES, "symbols": ["s-1"]},
+                "symbol name 's-1' is not an identifier",
+            ),
+            (
+                {"kind": "homogeneous", "symbols": "t", "exponents": ["t", "1"]},
+                "symbols must be a JSON array",
+            ),
         ],
         ids=[
             "top-level-array", "permutation-degrees", "zero-denominator",
             "images-array", "ratios-array", "ratios-row-array", "crossings-row-array",
+            "symbol-reads-as-sum", "symbol-reads-as-rational", "log-symbol-name",
+            "symbols-not-array",
         ],
     )
     def test_one_line_and_exit_one(self, tmp_path, capsys, command, config, message):
@@ -458,6 +502,31 @@ class TestMalformedConfigs:
         assert not out
         assert err.startswith("invalid input: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestKeysOnlyForExport:
+    @pytest.mark.parametrize(
+        "command,radius,calls",
+        [("surface", "2,4,6", 0), ("classify", "2,4,6", 0), ("ball", "2", 17)],
+    )
+    def test_moebius_key_calls(self, tmp_path, capsys, monkeypatch, command, radius, calls):
+        # groups, balls, glue and lifts compare elements; only ball.json and
+        # ball.dot need key strings, one per vertex (17 at radius 2)
+        count = [0]
+        key = MoebiusElement.key
+
+        def counting_key(self):
+            count[0] += 1
+            return key(self)
+
+        monkeypatch.setattr(MoebiusElement, "key", counting_key)
+        cfg = write_config(tmp_path, GENUS2_PING_PONG)
+        code, _, _ = run_cli(
+            [command, "--config", str(cfg), "--radius", radius, "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert count[0] == calls
 
 
 class TestDeterminism:
@@ -512,6 +581,8 @@ class TestDeterminism:
             ("classify", HOMOGENEOUS_CASE1, "2,4"),
             ("ball", RICCATI_LADDER, "3"),
             ("surface", RESIDUES_235_LOG, "2,4"),
+            ("ball", CIRCLE_TWO_SYMBOLS, "2,3"),
+            ("classify", CIRCLE_TWO_SYMBOLS, "2,4"),
         ],
     )
     def test_outputs_independent_of_hash_seed(self, tmp_path, command, config, radius):

@@ -85,7 +85,7 @@ class TestEulerBookkeeping:
     def euler_recount(self, s):
         """Third, test-local recount of chi via a fresh corner union-find."""
         L = s.template.size
-        parent = list(range(len(s.face_keys) * L))
+        parent = list(range(len(s.faces) * L))
 
         def find(x):
             while parent[x] != x:
@@ -106,7 +106,7 @@ class TestEulerBookkeeping:
                 union(fi * L + (p + 1) % L, fj * L + q)
         V = len({find(x) for x in range(len(parent))})
         E = pair_count + len(s.free_sides)
-        return V - E + len(s.face_keys)
+        return V - E + len(s.faces)
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_recount_matches(self, log3_case2, radius):
@@ -237,7 +237,7 @@ class TestIntersection:
         rep = circle_rep(3, [rational(1, 2), rational(1, 2), rational(0)])
         s = surface_for(rep, 4)
         w = Word.generator("c1", 2)
-        keys = sorted(s.ball.distances)
+        keys = sorted(s.ball.distances, key=lambda v: v.key())
         p1 = lift_cycle(rep, s, w, keys[0])
         p2 = lift_cycle(rep, s, w, keys[1])
         assert intersection_number_mod2(p1, p2) == 0
@@ -389,7 +389,7 @@ class TestParityProperties:
             s = surface_for(rep, radius)
             words = self.kernel_words(rep, rng, 5)
             root = s.ball.root
-            other = next(k for k in sorted(s.ball.distances) if s.ball.distances[k] == 1)
+            other = next(k for k in sorted(s.ball.distances, key=lambda v: v.key()) if s.ball.distances[k] == 1)
 
             def lift(w, base=root):
                 p = lift_cycle(rep, s, w, base)

@@ -11,7 +11,6 @@ from leaftype import (
     Word,
     abelian_free_rank,
     commutator,
-    element_order,
     ping_pong_free_certificate,
 )
 from leaftype.scalars import ExponentScalar, GaussianRational
@@ -21,7 +20,7 @@ from leaftype.targets import (
     PermutationElement,
     deck_group_is_finite,
     element_power,
-    enumerate_image_group,
+    enumerate_group,
 )
 
 
@@ -407,7 +406,7 @@ class TestDeckFiniteness:
         )
         finite, order = deck_group_is_finite(rep)
         assert finite and order == 6  # two transpositions generate S3
-        assert len(enumerate_image_group(rep, 100)) == 6
+        assert len(enumerate_group(rep.identity(), [rep.image(g) for g in pres.free_gens], 100)) == 6
 
     def test_circle_order_in_closed_form(self):
         # the image is cyclic of order lcm(1000003, 999983); enumerating its
