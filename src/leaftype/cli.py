@@ -8,8 +8,8 @@ One JSON config schema serves all entry points, discriminated by "kind":
 logarithmic, homogeneous, riccati or representation. Symbols standing for
 residues asserted Q-independent are declared once in a "symbols" array of
 identifiers.
-Exit codes: 0 classified, 1 invalid input, 2 budget exhausted,
-3 inconclusive.
+Exit codes: 0 classified, 1 invalid input, 2 budget exhausted or out of
+memory, 3 inconclusive.
 
 A logarithmic config must be well formed for every command (see
 foliations.validate_log_structure). Only classify also requires the
@@ -310,6 +310,10 @@ def main(argv: List[str] | None = None) -> int:
         return cmd_surface(cfg, radii, args.budget, out_dir)
     except BudgetExceededError as exc:
         sys.stderr.write("%s\n" % exc)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        reason = str(exc) or "the run needs more memory than it may use"
+        sys.stderr.write("out of memory: %s\n" % reason)
         return EXIT_BUDGET
     except InvalidFoliationError as exc:
         sys.stderr.write("invalid foliation spec: %s\n" % exc)

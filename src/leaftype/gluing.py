@@ -40,6 +40,21 @@ def _inv(seq: Sequence[Crossing]) -> Tuple[Crossing, ...]:
     return tuple((p, -d) for p, d in reversed(seq))
 
 
+def _reduce(seq: Sequence[Crossing]) -> Tuple[Crossing, ...]:
+    """Free reduction: drop each crossing that its reverse follows at once.
+
+    Dropping such a backtrack is a homotopy, so the loop, and with it every
+    mod-2 intersection number, stays the same.
+    """
+    out: List[Crossing] = []
+    for p, d in seq:
+        if out and out[-1] == (p, -d):
+            out.pop()
+        else:
+            out.append((p, d))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class TemplatePair:
     name: str
@@ -115,7 +130,7 @@ class DomainTemplate:
                 prev = kappa_seq(m - 1)
                 a = self._letter_paths["a%d" % m]
                 b = self._letter_paths["b%d" % m]
-                kappa_cache[m] = prev + a + b + _inv(a) + _inv(b)
+                kappa_cache[m] = _reduce(prev + a + b + _inv(a) + _inv(b))
             return kappa_cache[m]
 
         for i in range(1, g + 1):
@@ -123,14 +138,16 @@ class DomainTemplate:
             pa, pb = "a%d" % i, "b%d" % i
             core_a: Tuple[Crossing, ...] = ((pa, 1), (pb, 1), (pa, -1))
             core_b: Tuple[Crossing, ...] = ((pa, 1), (pb, -1), (pa, -1), (pb, 1), (pa, -1))
-            self._letter_paths[pa] = _inv(conj) + core_a + conj
-            self._letter_paths[pb] = _inv(conj) + core_b + conj
+            self._letter_paths[pa] = _reduce(_inv(conj) + core_a + conj)
+            self._letter_paths[pb] = _reduce(_inv(conj) + core_b + conj)
+        # reduced, the prefix of c_{j+1} is (s_j, -1) + the prefix of c_j, so
+        # every path is linear in g + n
         prefix_seq: Tuple[Crossing, ...] = kappa_seq(g)
         for j in range(1, n + 1):
-            self._letter_paths["c%d" % j] = (
+            self._letter_paths["c%d" % j] = _reduce(
                 _inv(prefix_seq) + (("s%d" % j, -1),) + prefix_seq
             )
-            prefix_seq = prefix_seq + self._letter_paths["c%d" % j]
+            prefix_seq = _reduce(prefix_seq + self._letter_paths["c%d" % j])
 
     def letter_path(self, gen: str) -> Tuple[Crossing, ...]:
         """Crossing sequence of a generic pushoff of the based generator loop."""
@@ -152,9 +169,14 @@ class DomainTemplate:
             out = out * (w if d == 1 else w.inverse())
         return out
 
-    def shift_elements(self, rep: Representation) -> Dict[str, Element]:
-        """The deck element by which crossing each glued pair moves, per pair name."""
-        return {name: rep.evaluate(pair.shift) for name, pair in self.pairs.items()}
+    def step_elements(self, rep: Representation) -> Dict[Crossing, Element]:
+        """The deck element by which each crossing (pair, direction) moves a face."""
+        steps: Dict[Crossing, Element] = {}
+        for name, pair in self.pairs.items():
+            shift = rep.evaluate(pair.shift)
+            steps[name, 1] = shift
+            steps[name, -1] = shift.inverse()
+        return steps
 
 
 class _UnionFind:
@@ -206,7 +228,7 @@ class GluedSurface:
         self.template = DomainTemplate(rep.presentation)
         self.faces: List[Element] = list(ball.distances)
         self.face_index: Dict[Element, int] = {v: i for i, v in enumerate(self.faces)}
-        self._shift_elements = self.template.shift_elements(rep)
+        self._steps = self.template.step_elements(rep)
         self._glue()
         self._count()
 
@@ -217,7 +239,7 @@ class GluedSurface:
         self.pairings: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for fi, v in enumerate(self.faces):
             for name, pair in tpl.pairs.items():
-                fj = self.face_index.get(v.compose(self._shift_elements[name]))
+                fj = self.face_index.get(v.compose(self._steps[name, 1]))
                 if fj is not None:
                     self.pairings[(fi, pair.pos_slot)] = (fj, pair.neg_slot)
                     self.pairings[(fj, pair.neg_slot)] = (fi, pair.pos_slot)
@@ -420,7 +442,7 @@ class AbstractCover:
     def __init__(self, rep: Representation):
         self.representation = rep
         self.template = DomainTemplate(rep.presentation)
-        self._shift_elements = self.template.shift_elements(rep)
+        self._steps = self.template.step_elements(rep)
 
     def lift(self, word: Word) -> "LiftedPath":
         return _lift(self, self.representation.identity(), word, lambda face: True)
@@ -460,10 +482,10 @@ def _lift(surface, start: Element, word: Word, has_face: Callable[[Element], boo
     Stops with an open path at the first face for which has_face is false.
     """
     cur = start
+    steps = surface._steps
     records: List[CrossingRecord] = []
     for pair, d in surface.template.word_path(word):
-        shift = surface._shift_elements[pair]
-        nxt = cur.compose(shift if d == 1 else shift.inverse())
+        nxt = cur.compose(steps[pair, d])
         if not has_face(nxt):
             return LiftedPath(start, surface, records, False, None)
         records.append(CrossingRecord(pair, d, cur, nxt))
@@ -518,7 +540,7 @@ def intersection_number_mod2(p1: LiftedPath, p2: LiftedPath) -> int:
     steps = p1.crossings + p2.crossings
     M = len(steps) + 1
     # a pair with a trivial shift glues every face to itself
-    self_glued = {name for name, s in p1.surface._shift_elements.items() if s.is_identity}
+    self_glued = {name for (name, _), s in p1.surface._steps.items() if s.is_identity}
 
     def position(k: int, entering: bool) -> int:
         rec = steps[k]

@@ -218,14 +218,14 @@ class ExponentScalar:
     def coordinates_mod_one(self) -> dict:
         """Coordinates in exponent space modulo the rational line Q*1.
 
-        Keys are ('re', symbol), ('im', None) for the imaginary constant and
+        Keys are ('re', symbol), ('im', '') for the imaginary constant and
         ('im', symbol); the real constant direction is quotiented away.
         """
         coords: dict = {}
         for s, c in self.real_syms:
             coords[("re", s)] = c
         if self.imag_const != 0:
-            coords[("im", None)] = self.imag_const
+            coords[("im", "")] = self.imag_const
         for s, c in self.imag_syms:
             coords[("im", s)] = c
         return coords

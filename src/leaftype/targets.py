@@ -1,7 +1,9 @@
 """The three exact holonomy target groups and representations into them.
 
-Circle elements are exp(2*pi*i*x) with x an ExponentScalar, stored with the
-rational constant reduced mod 1 so equal elements have equal keys.
+Circle elements are exp(2*pi*i*x) with x an ExponentScalar, stored as
+integer coordinates over the one lattice (CircleBasis) of their
+representation, with the rational constant reduced mod 1, so composing them
+is an integer tuple add and equal elements are equal tuples.
 Moebius elements are projective 2x2 matrices over the Gaussian rationals,
 stored as eight integer parts over one positive denominator in a canonical
 scaling, so composing them is integer arithmetic with one gcd and no
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Mapping, Sequence, Set, Tuple, Union
+from operator import add, neg
+from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple, Union
 
 from .scalars import (
     GR_ONE,
@@ -30,47 +33,57 @@ INFINITE: str = "infinite"
 
 
 class CircleElement:
-    """exp(2*pi*i*exponent); the identity iff the exponent is an integer.
+    """exp(2*pi*i*x) for an exponent x, as integer coordinates in a CircleBasis.
 
-    Equality and hashing go through the cached key string: hashing the
-    exponent's Fractions costs more than building the key once. They read
-    the cache before calling key(), which halves their cost on a hit.
+    c is the numerator of x's real constant over the basis denominator D,
+    reduced mod D; vec holds the numerators of the other directions. So
+    compose is a tuple add and one mod, inverse a negation, and equality and
+    hashing are the tuple's own. Elements of two different bases do not
+    compare or compose: that raises ValueError. Construct through of(),
+    identity(), CircleBasis.element() or the group operations.
     """
 
-    __slots__ = ("exponent", "_key")
+    __slots__ = ("basis", "c", "vec")
 
-    def __init__(self, exponent: ExponentScalar):
-        self.exponent = exponent
-        self._key: str | None = None
+    def __init__(self, basis: "CircleBasis", c: int, vec: Tuple[int, ...]):
+        self.basis = basis
+        self.c = c
+        self.vec = vec
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircleElement):
             return NotImplemented
-        return self is other or (self._key or self.key()) == (other._key or other.key())
+        if other.basis is not self.basis:
+            self.basis.check_same(other.basis)
+        return self.c == other.c and self.vec == other.vec
 
     def __hash__(self) -> int:
-        return hash(self._key or self.key())
+        return hash((self.c, self.vec))
 
     def __repr__(self) -> str:
         return "CircleElement(%s)" % self.key()
 
     @staticmethod
     def of(exponent: ExponentScalar) -> "CircleElement":
-        return CircleElement(exponent.fractional())
+        """The element of exponent, in a basis of its own."""
+        return CircleBasis.of([exponent]).element(exponent)
 
     @staticmethod
     def identity() -> "CircleElement":
-        return CircleElement(ExponentScalar())
+        return _CIRCLE_EMPTY_BASIS.identity
 
     def compose(self, other: "CircleElement") -> "CircleElement":
-        return CircleElement((self.exponent + other.exponent).fractional())
+        basis = self.basis
+        if other.basis is not basis:
+            basis.check_same(other.basis)
+        return CircleElement(basis, (self.c + other.c) % basis.den, tuple(map(add, self.vec, other.vec)))
 
     def inverse(self) -> "CircleElement":
-        return CircleElement((-self.exponent).fractional())
+        return CircleElement(self.basis, -self.c % self.basis.den, tuple(map(neg, self.vec)))
 
     @property
     def is_identity(self) -> bool:
-        return self.exponent.is_zero
+        return not self.c and not any(self.vec)
 
     def order(self) -> Order:
         """Exact order: the reduced denominator for rational exponents.
@@ -79,15 +92,87 @@ class CircleElement:
         Q-independence of the symbol basis (nonzero imaginary part even gives
         a multiplier off the unit circle).
         """
-        if not self.exponent.is_rational:
+        if any(self.vec):
             return INFINITE
-        return self.exponent.rational_value.denominator
+        return self.basis.den // gcd(self.c, self.basis.den)
+
+    @property
+    def exponent(self) -> ExponentScalar:
+        """The exponent, with its real constant in [0, 1)."""
+        den = self.basis.den
+        coords = {d: Fraction(v, den) for d, v in zip(self.basis.dirs, self.vec) if v}
+        return ExponentScalar(
+            Fraction(self.c, den),
+            tuple((s, q) for (part, s), q in coords.items() if part == "re"),
+            coords.get(("im", ""), Fraction(0)),
+            tuple((s, q) for (part, s), q in coords.items() if part == "im" and s),
+        )
 
     def key(self) -> str:
-        key = self._key
-        if key is None:
-            key = self._key = "circ[%s]" % self.exponent.key()
-        return key
+        return "circ[%s]" % self.exponent.key()
+
+
+class CircleBasis:
+    """The integer lattice that the circle elements of one representation share.
+
+    den is a common denominator D of every coordinate, and dirs the sorted
+    coordinate directions other than the real constant: ("im", "") for the
+    imaginary constant, ("im", s) and ("re", s) for the parts of symbol s, as
+    ExponentScalar.coordinates_mod_one names them. Two bases are the same
+    lattice when den and dirs agree.
+    """
+
+    __slots__ = ("den", "dirs", "identity")
+
+    def __init__(self, den: int, dirs: Tuple[Tuple[str, str], ...]):
+        self.den = den
+        self.dirs = dirs
+        self.identity = CircleElement(self, 0, (0,) * len(dirs))
+
+    @staticmethod
+    def of(exponents: Iterable[ExponentScalar]) -> "CircleBasis":
+        """The smallest basis holding every given exponent."""
+        dens = [1]
+        dirs = set()
+        for x in exponents:
+            dens.append(x.real_const.denominator)
+            for d, q in x.coordinates_mod_one().items():
+                dirs.add(d)
+                dens.append(q.denominator)
+        return CircleBasis(lcm(*dens), tuple(sorted(dirs)))
+
+    @staticmethod
+    def spanning(bases: Iterable["CircleBasis"]) -> "CircleBasis":
+        """The smallest basis that every given basis embeds in."""
+        bases = list(bases)
+        dirs = {d for b in bases for d in b.dirs}
+        return CircleBasis(lcm(1, *(b.den for b in bases)), tuple(sorted(dirs)))
+
+    def rebase(self, e: CircleElement) -> CircleElement:
+        """e in this basis, which must contain e's basis (see spanning)."""
+        scale = self.den // e.basis.den
+        coords = dict(zip(e.basis.dirs, e.vec))
+        return CircleElement(self, e.c * scale, tuple(coords.get(d, 0) * scale for d in self.dirs))
+
+    def check_same(self, other: "CircleBasis") -> None:
+        if self.den != other.den or self.dirs != other.dirs:
+            raise ValueError(
+                "circle elements of different bases: denominator %d over %s "
+                "against %d over %s" % (self.den, self.dirs, other.den, other.dirs)
+            )
+
+    def element(self, x: ExponentScalar) -> CircleElement:
+        """exp(2*pi*i*x); ValueError if x does not lie in this lattice."""
+        den = self.den
+        coords = x.coordinates_mod_one()
+        scaled = [x.real_const * den] + [coords.pop(d, Fraction(0)) * den for d in self.dirs]
+        if coords or any(q.denominator != 1 for q in scaled):
+            raise ValueError("exponent %s does not lie in the circle basis" % x.key())
+        c, *vec = (q.numerator for q in scaled)
+        return CircleElement(self, c % den, tuple(vec))
+
+
+_CIRCLE_EMPTY_BASIS = CircleBasis(1, ())
 
 
 class MoebiusElement:
@@ -354,7 +439,9 @@ class Representation:
 
     Images are stored for the free generators (all handles plus c_1..c_{n-1});
     the image of c_n is derived from the relation. For closed surfaces the
-    product of image commutators must be the identity.
+    product of image commutators must be the identity. Circle images are
+    rewritten into one CircleBasis spanning the bases of all the given
+    images, so every element the representation yields lives in it.
     """
 
     def __init__(
@@ -367,8 +454,12 @@ class Representation:
             raise ValueError("unknown target kind %r" % (kind,))
         self.presentation = presentation
         self.kind = kind
+        self.basis: CircleBasis | None = None
         self._images: Dict[str, Element] = {}
         given = dict(images)
+        if kind == CIRCLE:
+            self.basis = CircleBasis.spanning(e.basis for e in given.values())
+            given = {g: self.basis.rebase(e) for g, e in given.items()}
         for gen in presentation.free_gens:
             if gen not in given:
                 raise ValueError("missing image for generator %r" % (gen,))
@@ -409,7 +500,7 @@ class Representation:
             degree = len(next(iter(self._images.values())).mapping) if self._images else 1
             return PermutationElement.identity_of_degree(degree)
         if self.kind == CIRCLE:
-            return CircleElement.identity()
+            return self.basis.identity
         return MoebiusElement.identity()
 
     def image(self, gen: str) -> Element:
@@ -472,21 +563,17 @@ def abelian_free_rank(rep: Representation) -> int:
 
 
 def circle_free_rank(elements: Sequence[CircleElement]) -> int:
-    """Torsion-free rank of the group generated by circle elements.
+    """Torsion-free rank of the group generated by circle elements of one basis.
 
     The group embeds in exponent space modulo the integers; its free rank
     equals the Q-dimension of the span of the exponents in
     (exponent space)/(Q*1), with real-symbol, imaginary-constant and
-    imaginary-symbol directions as independent coordinates.
+    imaginary-symbol directions as independent coordinates: the rank of the
+    elements' integer vectors.
     """
-    coords = sorted({key for e in elements for key in e.exponent.coordinates_mod_one()})
-    if not coords:
-        return 0
-    rows = []
-    for e in elements:
-        c = e.exponent.coordinates_mod_one()
-        rows.append([c.get(k, Fraction(0)) for k in coords])
-    return rational_matrix_rank(rows)
+    for e in elements[1:]:
+        elements[0].basis.check_same(e.basis)
+    return rational_matrix_rank([e.vec for e in elements])
 
 
 def ping_pong_free_certificate(e1: MoebiusElement, e2: MoebiusElement) -> bool:

@@ -128,6 +128,23 @@ UNRECOGNIZED_MOEBIUS = {
 }
 
 
+# 17 invariant lines: a sphere with 17 punctures
+HOMOGENEOUS_17_LINES = {
+    "kind": "homogeneous",
+    "symbols": ["t"],
+    "exponents": ["t"] + ["1/3"] * 15 + [{"real": {"const": "-5", "t": "-1"}}],
+}
+
+# closed genus 6, one translation a1 -> z + 2 + i and every other image trivial
+RICCATI_GENUS6_LADDER = {
+    "kind": "riccati",
+    "genus": 6,
+    "punctures": 0,
+    "images": {"%s%d" % (x, i): [["1", "0"], ["0", "1"]] for x in "ab" for i in range(1, 7)},
+}
+RICCATI_GENUS6_LADDER["images"]["a1"] = [["1", {"re": "2", "im": "1"}], ["0", "1"]]
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "cfg.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -227,6 +244,46 @@ class TestClassifyCommand:
             "label": "finite_cover", "genus": 499991999982, "punctures": 1999987,
         }
         assert verdict["ends_report"]["deck_order"] == 999985999949
+
+
+class TestPaperScaleConfigs:
+    """Configs whose unreduced loop paths grow as 3^n; each must exit 0."""
+
+    @pytest.mark.parametrize(
+        "config,label",
+        [
+            (HOMOGENEOUS_17_LINES, "lnm_minus_discrete"),
+            (RICCATI_GENUS6_LADDER, "jacobs_ladder"),
+        ],
+        ids=["homogeneous-17-lines", "riccati-genus-6-ladder"],
+    )
+    def test_classifies(self, tmp_path, capsys, config, label):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(
+            ["classify", "--config", str(cfg), "--out", str(tmp_path)], capsys
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["label"]["label"] == label
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "command,stage",
+        [("classify", "classify_homogeneous"), ("ball", "build_ball"), ("surface", "genus_growth")],
+    )
+    def test_one_line_and_exit_two(self, tmp_path, capsys, monkeypatch, command, stage):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("leaftype.cli.%s" % stage, exhausted)
+        cfg = write_config(tmp_path, HOMOGENEOUS_CASE1)
+        code, out, err = run_cli(
+            [command, "--config", str(cfg), "--radius", "2", "--out", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert not out
+        assert err.startswith("out of memory: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestBallCommand:

@@ -18,7 +18,9 @@ from leaftype import (
     intersection_number_mod2,
     lift_cycle,
 )
+from leaftype import gluing
 from leaftype.gluing import AbstractCover
+from leaftype.scalars import ExponentScalar
 from leaftype.targets import MoebiusElement, PermutationElement
 
 
@@ -415,3 +417,49 @@ class TestParityProperties:
                         assert parity(a, b * c) == (bit + parity(a, c)) % 2, (name, a, b, c)
         assert odd_pairs >= 1
         assert busiest_edge >= 3
+
+
+class TestFreeReduction:
+    """Loop paths are freely reduced; parity bits are those of the unreduced paths."""
+
+    @staticmethod
+    def covers(rng):
+        t, u = symbol("t"), symbol("u")
+        out = []
+        choices = [t, u, -t, rational(1, 2), rational(1, 3), rational(0), t + rational(1, 2)]
+        for n in range(3, 9):
+            exps = [rng.choice(choices) for _ in range(n - 1)]
+            out.append(circle_rep(n, exps + [-sum(exps, ExponentScalar())]))
+        out.append(
+            Representation.circle_from_exponents(
+                SurfacePresentation(1, 3), [t, rational(1, 2), -t - rational(1, 2)], [u, rational(0)]
+            )
+        )
+        return out
+
+    def test_paths_are_reduced_and_linear(self):
+        for g, n in [(0, 12), (6, 0), (2, 8)]:
+            tpl = DomainTemplate(SurfacePresentation(g, n))
+            for gen in tpl.presentation.alphabet:
+                path = tpl.letter_path(gen)
+                assert all(path[k] != (path[k + 1][0], -path[k + 1][1]) for k in range(len(path) - 1))
+                assert len(path) <= 8 * g + 2 * n + 1
+
+    def test_parity_unchanged_by_backtracks(self, monkeypatch):
+        rng = random.Random(8)
+        covers = self.covers(rng)
+        reduced = [AbstractCover(rep) for rep in covers]
+        monkeypatch.setattr(gluing, "_reduce", tuple)
+        unreduced = [AbstractCover(rep) for rep in covers]
+        # the sphere with 8 punctures: c8 has 2,187 crossings unreduced
+        assert len(unreduced[-2].template.letter_path("c8")) > len(reduced[-2].template.letter_path("c8"))
+        bits = []
+        for rep, red, raw in zip(covers, reduced, unreduced):
+            words = TestParityProperties.kernel_words(rep, rng, 4)
+            for a in words:
+                for b in words:
+                    bit = intersection_number_mod2(red.lift(a), red.lift(b))
+                    raw_bit = intersection_number_mod2(raw.lift(a), raw.lift(b))
+                    assert bit == raw_bit, (rep.presentation, a, b)
+                    bits.append(bit)
+        assert 0 < sum(bits) < len(bits)

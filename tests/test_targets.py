@@ -13,11 +13,14 @@ from leaftype import (
     commutator,
     ping_pong_free_certificate,
 )
-from leaftype.scalars import ExponentScalar, GaussianRational
+from leaftype.cli import main
+from leaftype.scalars import ExponentScalar, GaussianRational, rational_matrix_rank
 from leaftype.targets import (
+    CircleBasis,
     CircleElement,
     MoebiusElement,
     PermutationElement,
+    circle_free_rank,
     deck_group_is_finite,
     element_power,
     enumerate_group,
@@ -33,9 +36,11 @@ class TestCircleElement:
         assert not CircleElement.of(imag).is_identity
 
     def test_composition_adds_exponents(self):
-        a = CircleElement.of(symbol("t"))
-        b = CircleElement.of(rational(1, 3))
+        basis = CircleBasis.of([symbol("t"), rational(1, 3)])
+        a = basis.element(symbol("t"))
+        b = basis.element(rational(1, 3))
         ab = a.compose(b)
+        assert ab == basis.element(symbol("t") + rational(1, 3))
         assert ab == b.compose(a)
         assert a.compose(a.inverse()).is_identity
 
@@ -251,7 +256,7 @@ class TestRepresentation:
     def test_circle_power_rule(self):
         rep = circle_rep(2, [symbol("t"), -symbol("t")])
         value = rep.evaluate(Word.generator("c1", 3))
-        assert value == CircleElement.of(symbol("t", 3))
+        assert value == rep.basis.element(symbol("t", 3))
 
     def test_commutator_of_unipotents_nontrivial(self):
         # direct 2x2 integer matrix multiplication as the oracle
@@ -425,3 +430,109 @@ class TestDeckFiniteness:
                 "permutation",
                 {"c1": PermutationElement.of([1, 0]), "c2": PermutationElement.of([0, 2, 1])},
             )
+
+
+class TestCircleKernel:
+    """Integer circle elements against an ExponentScalar reference."""
+
+    # denominators 2, 3, 5 and 15; real and imaginary symbol parts and an
+    # imaginary constant
+    EXPONENTS = {
+        "a1": ExponentScalar.make(Fraction(1, 2), {"t": Fraction(1, 3)}),
+        "b1": ExponentScalar.make(imag_const=Fraction(2, 5)),
+        "c1": ExponentScalar.make(Fraction(7, 15), imag_syms={"u": Fraction(1, 2)}),
+        "c2": ExponentScalar.make(real_syms={"t": Fraction(1, 5), "u": Fraction(-1, 15)}),
+        "c3": ExponentScalar.make(Fraction(2, 3)),
+    }
+
+    @staticmethod
+    def _circ(x):
+        return "circ[%s]" % x.fractional().key()
+
+    def _words(self):
+        pres = SurfacePresentation(1, 4)
+        rep = Representation(
+            pres, "circle", {g: CircleElement.of(x) for g, x in self.EXPONENTS.items()}
+        )
+        rng = random.Random(11)
+        gens = sorted(self.EXPONENTS)
+        out = []
+        for _ in range(400):
+            letters = [(rng.choice(gens), rng.choice([1, -1])) for _ in range(rng.randrange(0, 9))]
+            ref = ExponentScalar()
+            for g, sign in letters:
+                ref = ref + (self.EXPONENTS[g] if sign == 1 else -self.EXPONENTS[g])
+            out.append((rep.evaluate(Word.from_letters(letters)), ref.fractional()))
+        return rep, out
+
+    def test_words_match_the_reference(self):
+        _, pairs = self._words()
+        for e, ref in pairs:
+            assert e.key() == self._circ(ref)
+            assert e.is_identity == ref.is_zero
+            assert e.order() == (ref.rational_value.denominator if ref.is_rational else "infinite")
+            assert e.inverse().key() == self._circ(-ref)
+            assert e.compose(e.inverse()).is_identity
+        assert any(e.is_identity for e, _ in pairs)
+        assert any(e.order() not in (1, "infinite") for e, _ in pairs)
+
+    def test_equal_keys_iff_equal_elements(self):
+        _, pairs = self._words()
+        elements = [e for e, _ in pairs]
+        keys = [e.key() for e in elements]
+        repeats = 0
+        for i, (ei, ki) in enumerate(zip(elements, keys)):
+            for ej, kj in zip(elements[i + 1:], keys[i + 1:]):
+                assert (ki == kj) == (ei == ej)
+                if ei == ej:
+                    repeats += 1
+                    assert hash(ei) == hash(ej)
+        assert repeats > 0
+        assert len(set(elements)) == len(set(keys))
+
+    def test_free_rank_matches_rational_rank(self):
+        _, pairs = self._words()
+        rng = random.Random(3)
+        for _ in range(60):
+            chosen = rng.sample(pairs, rng.randrange(1, 5))
+            coords = [ref.coordinates_mod_one() for _, ref in chosen]
+            dirs = sorted({d for c in coords for d in c})
+            rows = [[c.get(d, Fraction(0)) for d in dirs] for c in coords]
+            expected = rational_matrix_rank(rows) if dirs else 0
+            assert circle_free_rank([e for e, _ in chosen]) == expected
+
+    def test_representation_elements_share_one_basis(self):
+        rep, pairs = self._words()
+        assert rep.identity().basis is rep.basis
+        assert all(e.basis is rep.basis for e, _ in pairs)
+        assert rep.basis.den == 30
+
+    def test_two_bases_do_not_mix(self):
+        a = CircleElement.of(symbol("t"))
+        b = CircleElement.of(rational(1, 3))
+        with pytest.raises(ValueError, match="different bases"):
+            a == b
+        with pytest.raises(ValueError, match="different bases"):
+            a.compose(b)
+        with pytest.raises(ValueError, match="does not lie"):
+            a.basis.element(rational(1, 3))
+
+    def test_classify_builds_no_circle_keys(self, tmp_path, monkeypatch, capsys):
+        # the coincident-multiplier blind spot: an exhaustive witness search
+        # whose elements only compare and hash
+        count = [0]
+        key = CircleElement.key
+
+        def counting_key(self):
+            count[0] += 1
+            return key(self)
+
+        monkeypatch.setattr(CircleElement, "key", counting_key)
+        cfg = tmp_path / "blind.json"
+        cfg.write_text(
+            '{"kind": "homogeneous", "symbols": ["t"], "exponents": '
+            '["t", "0", "t", {"real": {"t": "-2"}}]}',
+            encoding="utf-8",
+        )
+        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert count[0] == 0
