@@ -277,7 +277,7 @@ class _SearchCtx:
 
 
 def _cyclic_intersection_size(x: Element, y: Element) -> Optional[int]:
-    """|<x> âˆ© <y>| for two finite-order elements; None if either is infinite."""
+    """|<x> ∩ <y>| for two finite-order elements; None if either is infinite."""
     ox, oy = x.order(), y.order()
     if ox == INFINITE or oy == INFINITE:
         return None
@@ -499,7 +499,7 @@ def _confirm_witness(cover: AbstractCover, cand: _Candidate) -> Optional[Witness
         return None
     if intersection_number_mod2(p1, p2) != 1:
         return None
-    faces = {r.to_face for r in p1.crossings} | {r.to_face for r in p2.crossings}
+    faces = set(p1.face_ids[1:]).union(p2.face_ids[1:])
     return Witness(cand.case, cand.params, cand.gamma1, cand.gamma2, len(faces))
 
 

@@ -9,7 +9,7 @@ logarithmic, homogeneous, riccati or representation. Symbols standing for
 residues asserted Q-independent are declared once in a "symbols" array of
 identifiers.
 Exit codes: 0 classified, 1 invalid input, 2 budget exhausted or out of
-memory, 3 inconclusive.
+memory, 3 inconclusive, 4 internal error (a failed consistency check).
 
 A logarithmic config must be well formed for every command (see
 foliations.validate_log_structure). Only classify also requires the
@@ -39,7 +39,7 @@ from .foliations import (
     component_holonomy,
     validate_log_structure,
 )
-from .gluing import genus_growth
+from .gluing import InternalConsistencyError, genus_growth
 from .scalars import ExponentScalar, GaussianRational, as_fraction
 from .targets import (
     BudgetExceededError,
@@ -58,6 +58,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _dump(obj: dict) -> str:
@@ -315,6 +316,9 @@ def main(argv: List[str] | None = None) -> int:
         reason = str(exc) or "the run needs more memory than it may use"
         sys.stderr.write("out of memory: %s\n" % reason)
         return EXIT_BUDGET
+    except InternalConsistencyError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return EXIT_INTERNAL
     except InvalidFoliationError as exc:
         sys.stderr.write("invalid foliation spec: %s\n" % exc)
         return EXIT_INVALID

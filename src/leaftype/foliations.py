@@ -28,6 +28,7 @@ from .classify import (
     handle_witness_search,
 )
 from .cayley import DEFAULT_VERTEX_BUDGET
+from .gluing import InternalConsistencyError
 from .scalars import ExponentScalar, GaussianRational
 from .targets import MOEBIUS, MoebiusElement, Representation, deck_group_is_finite
 from .words import SurfacePresentation
@@ -405,7 +406,7 @@ def classify_homogeneous(
         "lnm_minus_discrete",
     }
     if label is not None and label.name not in allowed:
-        raise RuntimeError(
+        raise InternalConsistencyError(
             "abelian punctured-sphere cover produced %s, outside the "
             "five admissible types" % label.name
         )

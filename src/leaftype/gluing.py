@@ -22,12 +22,14 @@ offsets along shared edges standing in for a geometric perturbation.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import CayleyBall, DEFAULT_VERTEX_BUDGET, build_ball
 from .targets import Element, Representation
-from .words import SurfacePresentation, Word
+from .words import Letter, SurfacePresentation, Word
 
 Crossing = Tuple[str, int]  # (pair name, +1 = cross from the pos slot side)
 
@@ -116,20 +118,24 @@ class DomainTemplate:
             self.pairs["s%d" % j] = TemplatePair(
                 "s%d" % j, pair_pos["s%d" % j], pair_neg["s%d" % j], shift
             )
-        self._letter_paths: Dict[str, Tuple[Crossing, ...]] = {}
-        self._build_letter_paths()
+        # both orientations of every letter's path, keyed by the letter (gen, +-1)
+        self._letter_paths: Dict[Letter, Tuple[Crossing, ...]] = {}
+        for gen, path in self._build_letter_paths().items():
+            self._letter_paths[gen, 1] = path
+            self._letter_paths[gen, -1] = _inv(path)
 
     # -- generic-position loop representatives ----------------------------
 
-    def _build_letter_paths(self) -> None:
+    def _build_letter_paths(self) -> Dict[str, Tuple[Crossing, ...]]:
         g, n = self.presentation.genus, self.presentation.punctures
+        paths: Dict[str, Tuple[Crossing, ...]] = {}
         kappa_cache: Dict[int, Tuple[Crossing, ...]] = {0: ()}
 
         def kappa_seq(m: int) -> Tuple[Crossing, ...]:
             if m not in kappa_cache:
                 prev = kappa_seq(m - 1)
-                a = self._letter_paths["a%d" % m]
-                b = self._letter_paths["b%d" % m]
+                a = paths["a%d" % m]
+                b = paths["b%d" % m]
                 kappa_cache[m] = _reduce(prev + a + b + _inv(a) + _inv(b))
             return kappa_cache[m]
 
@@ -138,27 +144,33 @@ class DomainTemplate:
             pa, pb = "a%d" % i, "b%d" % i
             core_a: Tuple[Crossing, ...] = ((pa, 1), (pb, 1), (pa, -1))
             core_b: Tuple[Crossing, ...] = ((pa, 1), (pb, -1), (pa, -1), (pb, 1), (pa, -1))
-            self._letter_paths[pa] = _reduce(_inv(conj) + core_a + conj)
-            self._letter_paths[pb] = _reduce(_inv(conj) + core_b + conj)
+            paths[pa] = _reduce(_inv(conj) + core_a + conj)
+            paths[pb] = _reduce(_inv(conj) + core_b + conj)
         # reduced, the prefix of c_{j+1} is (s_j, -1) + the prefix of c_j, so
         # every path is linear in g + n
         prefix_seq: Tuple[Crossing, ...] = kappa_seq(g)
         for j in range(1, n + 1):
-            self._letter_paths["c%d" % j] = _reduce(
+            paths["c%d" % j] = _reduce(
                 _inv(prefix_seq) + (("s%d" % j, -1),) + prefix_seq
             )
-            prefix_seq = _reduce(prefix_seq + self._letter_paths["c%d" % j])
+            prefix_seq = _reduce(prefix_seq + paths["c%d" % j])
+        return paths
 
     def letter_path(self, gen: str) -> Tuple[Crossing, ...]:
         """Crossing sequence of a generic pushoff of the based generator loop."""
         self.presentation.check_gen(gen)
-        return self._letter_paths[gen]
+        return self._letter_paths[gen, 1]
 
     def word_path(self, word: Word) -> Tuple[Crossing, ...]:
+        """The letters' paths end to end; the crossings are the template's own tuples."""
+        paths = self._letter_paths
         out: List[Crossing] = []
-        for gen, sign in word.letters:
-            seq = self.letter_path(gen)
-            out.extend(seq if sign == 1 else _inv(seq))
+        for letter in word.letters:
+            seq = paths.get(letter)
+            if seq is None:
+                self.presentation.check_gen(letter[0])
+                raise ValueError("letter %r has no sign +1 or -1" % (letter,))
+            out.extend(seq)
         return tuple(out)
 
     def path_shift_word(self, path: Sequence[Crossing]) -> Word:
@@ -212,7 +224,34 @@ class BoundaryComponent:
         return None
 
 
-class GluedSurface:
+class _LiftSurface:
+    """What lifting and parity need of a surface: the template, the deck
+    element each crossing moves a face by, and an int id per face."""
+
+    def __init__(self, rep: Representation):
+        self.representation = rep
+        self.template = DomainTemplate(rep.presentation)
+        self._steps = self.template.step_elements(rep)
+
+    def _face_id(self, element: Element) -> Optional[int]:
+        """The id of the face at a deck element; None if the surface lacks it."""
+        raise NotImplementedError
+
+    @cached_property
+    def _sides(self) -> Dict[Crossing, Tuple[Tuple[int, bool], Tuple[int, bool]]]:
+        """(slot, pos side) of the entering and of the leaving endpoint of each crossing."""
+        out = {}
+        for (name, d), shift in self._steps.items():
+            pair = self.template.pairs[name]
+            enter, leave = (pair.neg_slot, pair.pos_slot) if d == 1 else (pair.pos_slot, pair.neg_slot)
+            # a trivial shift glues every face to itself; pos side on both slots is ROADMAP F1
+            out[name, d] = tuple(
+                (slot, slot == pair.pos_slot or shift.is_identity) for slot in (enter, leave)
+            )
+        return out
+
+
+class GluedSurface(_LiftSurface):
     """A compact surface with boundary built over a Cayley ball.
 
     Face set equals the ball vertices; a glued slot is paired exactly when
@@ -223,12 +262,10 @@ class GluedSurface:
     """
 
     def __init__(self, rep: Representation, ball: CayleyBall):
-        self.representation = rep
+        super().__init__(rep)
         self.ball = ball
-        self.template = DomainTemplate(rep.presentation)
         self.faces: List[Element] = list(ball.distances)
         self.face_index: Dict[Element, int] = {v: i for i, v in enumerate(self.faces)}
-        self._steps = self.template.step_elements(rep)
         self._glue()
         self._count()
 
@@ -411,6 +448,9 @@ class GluedSurface:
                 return False
         return True
 
+    def _face_id(self, element: Element) -> Optional[int]:
+        return self.face_index.get(element)
+
     def to_json_dict(self) -> dict:
         return {
             "N": self.ball.radius,
@@ -431,66 +471,92 @@ def glue_ball(rep: Representation, ball: CayleyBall) -> GluedSurface:
 # -- lifted cycles ----------------------------------------------------------
 
 
+class _CoverSurface(_LiftSurface):
+    """The faces of the full cover: every deck element, given an int id the
+    first time a lift reaches it."""
+
+    def __init__(self, rep: Representation):
+        super().__init__(rep)
+        self._face_ids: Dict[Element, int] = {}
+
+    def _face_id(self, element: Element) -> int:
+        fid = self._face_ids.get(element)
+        if fid is None:
+            fid = self._face_ids[element] = len(self._face_ids)
+        return fid
+
+
 class AbstractCover:
     """The full covering surface, used as a lift context without a ball.
 
     Faces are arbitrary deck elements and every glued edge exists, so the
     lift of any kernel word closes. Witness confirmation runs here; balls
-    are only needed when frontier behavior matters.
+    are only needed when frontier behavior matters. Each word is lifted
+    once: a repeated lift returns the same LiftedPath. The paths live on
+    `surface`, which holds none of them, so a dropped cover and its paths
+    are freed at once rather than by the cycle collector.
     """
 
     def __init__(self, rep: Representation):
         self.representation = rep
-        self.template = DomainTemplate(rep.presentation)
-        self._steps = self.template.step_elements(rep)
+        self.surface = _CoverSurface(rep)
+        self.template = self.surface.template
+        self._lifts: Dict[Tuple[Letter, ...], LiftedPath] = {}
 
     def lift(self, word: Word) -> "LiftedPath":
-        return _lift(self, self.representation.identity(), word, lambda face: True)
-
-
-@dataclass
-class CrossingRecord:
-    pair: str
-    direction: int
-    from_face: Element
-    to_face: Element
+        path = self._lifts.get(word.letters)
+        if path is None:
+            path = self._lifts[word.letters] = _lift(self.surface, self.representation.identity(), word)
+        return path
 
 
 @dataclass
 class LiftedPath:
-    base: Element
-    surface: object  # GluedSurface or AbstractCover
-    crossings: List[CrossingRecord]
+    """A lifted loop: the crossings it made and the faces it passed.
+
+    face_ids holds the start face, then the face after each step, as the
+    surface's face ids. A path that leaves the ball stops at its last face
+    inside, with complete False and the steps it made until then.
+    """
+
+    surface: _LiftSurface
+    steps: Tuple[Crossing, ...]
+    face_ids: Tuple[int, ...]
     complete: bool
-    end_face: Optional[Element]
 
     @property
     def exits_ball(self) -> bool:
         return not self.complete
 
     @property
+    def end_face(self) -> Optional[int]:
+        return self.face_ids[-1] if self.complete else None
+
+    @property
     def closed(self) -> bool:
-        return self.complete and self.end_face == self.base
+        return self.complete and self.face_ids[-1] == self.face_ids[0]
 
     def __len__(self) -> int:
-        return len(self.crossings)
+        return len(self.steps)
 
 
-def _lift(surface, start: Element, word: Word, has_face: Callable[[Element], bool]) -> LiftedPath:
+def _lift(surface: _LiftSurface, start: Element, word: Word) -> LiftedPath:
     """Cross one glued edge per step of the word's path, starting at face start.
 
-    Stops with an open path at the first face for which has_face is false.
+    Stops with an open path at the first face the surface does not have.
     """
+    steps = surface.template.word_path(word)
+    moves = surface._steps
+    face_id = surface._face_id
     cur = start
-    steps = surface._steps
-    records: List[CrossingRecord] = []
-    for pair, d in surface.template.word_path(word):
-        nxt = cur.compose(steps[pair, d])
-        if not has_face(nxt):
-            return LiftedPath(start, surface, records, False, None)
-        records.append(CrossingRecord(pair, d, cur, nxt))
-        cur = nxt
-    return LiftedPath(start, surface, records, True, cur)
+    ids = [face_id(start)]
+    for k, step in enumerate(steps):
+        cur = cur.compose(moves[step])
+        fid = face_id(cur)
+        if fid is None:
+            return LiftedPath(surface, steps[:k], tuple(ids), False)
+        ids.append(fid)
+    return LiftedPath(surface, steps, tuple(ids), True)
 
 
 def lift_cycle(
@@ -514,7 +580,7 @@ def lift_cycle(
     base = base if base is not None else ball.root
     if base not in ball.distances:
         raise ValueError("base face %r is not in the ball" % (base,))
-    return _lift(surface, base, word, ball.distances.__contains__)
+    return _lift(surface, base, word)
 
 
 def intersection_number_mod2(p1: LiftedPath, p2: LiftedPath) -> int:
@@ -522,67 +588,57 @@ def intersection_number_mod2(p1: LiftedPath, p2: LiftedPath) -> int:
 
     Each visit of a path to a face is a chord between boundary positions of
     that disk face; two chords cross mod 2 iff their endpoints interleave.
-    The k-th crossing of steps (path 1's crossings, then path 2's) sits at
-    integer offset k along its edge. With M = len(steps) + 1, slot s of a
-    face spans positions s*M + 1 .. s*M + M - 1 of a circle of length
-    size*M: the endpoint is at s*M + k + 1 seen from the edge's pos-side
-    face and at s*M + M - k - 1 from the other face, so the two sides of a
-    gluing see its crossings in opposite orders. This realizes the canonical
-    perturbation. Total parity is a homotopy invariant, so the particular
-    offset order does not matter.
+    The k-th step of path 1, then path 2, sits at integer offset k along its
+    edge. With M = len(p1) + len(p2) + 1, slot s of a face spans positions
+    s*M + 1 .. s*M + M - 1 of a circle of length size*M: the endpoint is at
+    s*M + k + 1 seen from the edge's pos-side face and at s*M + M - k - 1
+    from the other face, so the two sides of a gluing see its crossings in
+    opposite orders. This realizes the canonical perturbation. Total parity
+    is a homotopy invariant, so the particular offset order does not matter.
+
+    The count is one sorted sweep, and it is exact. Endpoints on one face
+    never coincide: slots own disjoint ranges, and each slot uses one of
+    the two offset formulas, which is injective in k. Chords (a, b) and
+    (x, y) interleave iff exactly one of x, y lies strictly inside the arc
+    from a to b, and [x inside] xor [y inside] is [x inside] + [y inside]
+    mod 2. So the parity is the number of path-2 endpoints inside path-1
+    arcs on the same face, mod 2. Path 2 puts an even number of endpoints
+    on each face, so an arc and its complement hold counts of equal
+    parity. Key every endpoint face * size*M + position and let rank(x)
+    count the path-2 keys below x: the arc strictly between a and b holds
+    |rank(b) - rank(a)| of them, which is rank(a) + rank(b) mod 2. Each
+    path-1 endpoint ends exactly one chord, so the parity is the sum of the
+    ranks of all path-1 endpoints mod 2: the path-2 keys are sorted once
+    and each path-1 endpoint takes one bisection.
     """
-    if p1.surface is not p2.surface:
+    surface = p1.surface
+    if p2.surface is not surface:
         raise ValueError("paths live on different glued surfaces")
     for p in (p1, p2):
         if not p.closed:
             raise ValueError("intersection numbers require closed paths")
-    tpl = p1.surface.template
-    steps = p1.crossings + p2.crossings
-    M = len(steps) + 1
-    # a pair with a trivial shift glues every face to itself
-    self_glued = {name for (name, _), s in p1.surface._steps.items() if s.is_identity}
-
-    def position(k: int, entering: bool) -> int:
-        rec = steps[k]
-        pair = tpl.pairs[rec.pair]
-        slot = pair.neg_slot if (rec.direction == 1) == entering else pair.pos_slot
-        # the endpoint's face is the pos-side face on the pos slot, and on both
-        # slots of a self-glued pair; the latter is wrong (CHANGES.md FOUND)
-        on_pos_face = slot == pair.pos_slot or rec.pair in self_glued
-        return slot * M + (k + 1 if on_pos_face else M - k - 1)
-
-    def chords_for(first: int, n: int) -> Dict[Element, List[Tuple[int, int]]]:
-        out: Dict[Element, List[Tuple[int, int]]] = {}
-        for i in range(n):
-            k_in, k_out = first + i, first + (i + 1) % n
-            face = steps[k_in].to_face
-            if steps[k_out].from_face != face:
-                raise InternalConsistencyError("crossing records are not contiguous")
-            out.setdefault(face, []).append(
-                (position(k_in, True), position(k_out, False))
-            )
-        return out
-
-    n1 = len(p1.crossings)
-    chords1 = chords_for(0, n1)
-    chords2 = chords_for(n1, len(p2.crossings))
-    circumference = tpl.size * M
-    total = 0
-    for face, lst1 in chords1.items():
-        for x1, y1 in lst1:
-            for x2, y2 in chords2.get(face, []):
-                if _interleaves(x1, y1, x2, y2, circumference):
-                    total += 1
-    return total % 2
+    n1 = len(p1.steps)
+    M = n1 + len(p2.steps) + 1
+    C = surface.template.size * M
+    sides = surface._sides
+    ends = sorted(_endpoints(p2, n1, M, C, sides))
+    return sum(map(partial(bisect, ends), _endpoints(p1, 0, M, C, sides))) % 2
 
 
-def _interleaves(x1, y1, x2, y2, circumference) -> bool:
-    def inside(a, b, p):
-        da = (p - a) % circumference
-        db = (b - a) % circumference
-        return 0 < da < db
-
-    return inside(x1, y1, x2) != inside(x1, y1, y2)
+def _endpoints(path: LiftedPath, first: int, M: int, C: int, sides) -> List[int]:
+    """The keys face * C + position of both endpoints of every step of a
+    closed path, with the steps numbered from first."""
+    steps, ids = path.steps, path.face_ids
+    n = len(steps)
+    # the chord in face ids[i + 1] runs from step i to step i + 1, which
+    # leaves face ids[(i + 1) % n]; the two differ only where the path wraps
+    if n and ids[0] != ids[n]:
+        raise InternalConsistencyError("lifted path is not contiguous")
+    ks = range(first + 1, first + n + 1)
+    table = [sides[step] for step in steps]
+    enter = [f * C + s * M + (k if pos else M - k) for f, ((s, pos), _), k in zip(ids[1:], table, ks)]
+    leave = [f * C + s * M + (k if pos else M - k) for f, (_, (s, pos)), k in zip(ids, table, ks)]
+    return enter + leave
 
 
 # -- growth tables -----------------------------------------------------------

@@ -26,7 +26,7 @@ from .scalars import (
     GaussianRational,
     rational_matrix_rank,
 )
-from .words import SurfacePresentation, Word
+from .words import Letter, SurfacePresentation, Word
 
 Order = Union[int, str]
 INFINITE: str = "infinite"
@@ -456,6 +456,7 @@ class Representation:
         self.kind = kind
         self.basis: CircleBasis | None = None
         self._images: Dict[str, Element] = {}
+        self._letter_images: Dict[Letter, Element] = {}  # filled by evaluate
         given = dict(images)
         if kind == CIRCLE:
             self.basis = CircleBasis.spanning(e.basis for e in given.values())
@@ -509,11 +510,21 @@ class Representation:
 
     def evaluate(self, word: Word) -> Element:
         """Evaluate homomorphically: letters compose left to right."""
+        table = self._letter_images
         acc = self.identity()
-        for gen, sign in word.letters:
-            el = self.image(gen)
-            acc = acc.compose(el if sign == 1 else el.inverse())
+        for letter in word.letters:
+            el = table.get(letter)
+            if el is None:
+                el = self._letter_image(*letter)
+            acc = acc.compose(el)
         return acc
+
+    def _letter_image(self, gen: str, sign: int) -> Element:
+        """The image of a letter (gen, +-1), entered in the table with its inverse."""
+        image = self.image(gen)
+        self._letter_images[gen, 1] = image
+        self._letter_images[gen, -1] = image.inverse()
+        return self._letter_images[gen, sign]
 
     # -- constructors -----------------------------------------------------
 

@@ -18,13 +18,14 @@ Letter = Tuple[str, int]
 
 def _reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
     stack: list = []
-    for gen, sign in letters:
+    for letter in letters:
+        gen, sign = letter
         if sign not in (1, -1):
             raise ValueError("letter sign must be +1 or -1, got %r" % (sign,))
         if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
             stack.pop()
         else:
-            stack.append((gen, sign))
+            stack.append(tuple(letter))  # tuple() of a tuple is that tuple, so words share letters
     return tuple(stack)
 
 
@@ -41,8 +42,8 @@ class Word:
     @staticmethod
     def generator(gen: str, power: int = 1) -> "Word":
         if power >= 0:
-            return Word(tuple((gen, 1) for _ in range(power)))
-        return Word(tuple((gen, -1) for _ in range(-power)))
+            return Word(((gen, 1),) * power)
+        return Word(((gen, -1),) * -power)
 
     def __mul__(self, other: "Word") -> "Word":
         return Word.from_letters(self.letters + other.letters)

@@ -105,6 +105,23 @@ class TestWitnessSearch:
         assert label is None
         assert report.genus_class.kind == "inconclusive"
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP F1")
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            (symbol("t"), rational(0), symbol("t", -1), rational(0)),
+            (rational(0), rational(1) + symbol("t"), rational(0), symbol("t", -1), rational(-1)),
+        ],
+        ids=["t,0,-t,0", "0,1+t,0,-t,-1"],
+    )
+    def test_planar_cover_gets_no_infinite_genus(self, exponents):
+        # only two punctures have nontrivial holonomy, so the cover is planar;
+        # the self-glued side rule certifies a handle on both today
+        from leaftype import classify_homogeneous
+
+        verdict = classify_homogeneous(list(exponents))
+        assert verdict.ends_report.genus_class.kind != "infinite"
+
     def test_search_deterministic(self, log3_case2):
         w1 = handle_witness_search(log3_case2)
         w2 = handle_witness_search(log3_case2)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from leaftype.cli import main
+from leaftype.cli import EXIT_INTERNAL, main
+from leaftype.gluing import InternalConsistencyError
 from leaftype.targets import MoebiusElement
 
 HOMOGENEOUS_CASE1 = {
@@ -283,6 +284,43 @@ class TestOutOfMemory:
         assert code == 2
         assert not out
         assert err.startswith("out of memory: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestInternalError:
+    @pytest.mark.parametrize(
+        "command,stage",
+        [("classify", "classify_homogeneous"), ("ball", "build_ball"), ("surface", "genus_growth")],
+    )
+    def test_one_line_and_exit_four(self, tmp_path, capsys, monkeypatch, command, stage):
+        def contradiction(*args, **kwargs):
+            raise InternalConsistencyError("vertex count mismatch")
+
+        monkeypatch.setattr("leaftype.cli.%s" % stage, contradiction)
+        cfg = write_config(tmp_path, HOMOGENEOUS_CASE1)
+        code, out, err = run_cli(
+            [command, "--config", str(cfg), "--radius", "2", "--out", str(tmp_path)], capsys
+        )
+        assert code == EXIT_INTERNAL == 4
+        assert not out
+        assert err == "internal error: vertex count mismatch\n"
+
+    def test_label_outside_the_five_types(self, tmp_path, capsys, monkeypatch):
+        from leaftype import foliations
+        from leaftype.classify import JACOBS_LADDER, SurfaceTypeLabel
+
+        classify_cover = foliations.classify_cover
+
+        def relabelled(*args, **kwargs):
+            report, _ = classify_cover(*args, **kwargs)
+            return report, SurfaceTypeLabel(JACOBS_LADDER)
+
+        monkeypatch.setattr(foliations, "classify_cover", relabelled)
+        cfg = write_config(tmp_path, HOMOGENEOUS_CASE1)
+        code, out, err = run_cli(["classify", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 4
+        assert not out
+        assert err.startswith("internal error: abelian punctured-sphere cover produced jacobs_ladder")
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

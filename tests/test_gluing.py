@@ -408,9 +408,10 @@ class TestParityProperties:
                     odd_pairs += bit
                     assert bit == parity(b, a), (name, a, b)
                     assert bit == parity(a, b, other), (name, a, b)
-                    steps = lift(a).crossings + lift(b).crossings
                     edges = Counter(
-                        (r.pair, frozenset((r.from_face, r.to_face))) for r in steps
+                        (pair, frozenset(p.face_ids[k:k + 2]))
+                        for p in (lift(a), lift(b))
+                        for k, (pair, _) in enumerate(p.steps)
                     )
                     busiest_edge = max(busiest_edge, max(edges.values(), default=0))
                     for c in words:
@@ -463,3 +464,164 @@ class TestFreeReduction:
                     assert bit == raw_bit, (rep.presentation, a, b)
                     bits.append(bit)
         assert 0 < sum(bits) < len(bits)
+
+
+def pairwise_parity(p1, p2):
+    """Test oracle: every chord of one path against every chord of the other
+    on the same face, with the kernel's offsets and side rule."""
+    tpl = p1.surface.template
+    steps = p1.steps + p2.steps
+    M = len(steps) + 1
+    circumference = tpl.size * M
+    self_glued = {name for (name, _), s in p1.surface._steps.items() if s.is_identity}
+
+    def position(k, entering):
+        name, d = steps[k]
+        pair = tpl.pairs[name]
+        slot = pair.neg_slot if (d == 1) == entering else pair.pos_slot
+        on_pos_face = slot == pair.pos_slot or name in self_glued
+        return slot * M + (k + 1 if on_pos_face else M - k - 1)
+
+    def chords(path, first):
+        n = len(path.steps)
+        return [
+            (path.face_ids[i + 1], position(first + i, True), position(first + (i + 1) % n, False))
+            for i in range(n)
+        ]
+
+    def inside(a, b, p):
+        return 0 < (p - a) % circumference < (b - a) % circumference
+
+    return sum(
+        inside(x1, y1, x2) != inside(x1, y1, y2)
+        for f1, x1, y1 in chords(p1, 0)
+        for f2, x2, y2 in chords(p2, len(p1.steps))
+        if f1 == f2
+    ) % 2
+
+
+class TestParityKernel:
+    """The sorted sweep against the pairwise oracle, and one lift per word."""
+
+    @staticmethod
+    def kernel_words(rep, rng, count):
+        gens = rep.presentation.free_gens
+        words = []
+        for _ in range(400):
+            u, v = (
+                Word.from_letters((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 3)))
+                for _ in range(2)
+            )
+            for w in (commutator(u, v), u ** rng.randint(2, 4), commutator(u ** 2, v) * commutator(v, u)):
+                if w.letters and w not in words and rep.evaluate(w).is_identity:
+                    words.append(w)
+            if len(words) >= count:
+                break
+        return words[:count]
+
+    @staticmethod
+    def covers(rng):
+        t, u = symbol("t"), symbol("u")
+        choices = [t, u, -t, t.scale(2), rational(0), rational(1, 2), rational(1, 3), t + rational(1, 2)]
+        out = [
+            circle_rep(4, [t.scale(2), rational(0), t.scale(2), t.scale(-4)]),
+            circle_rep(4, [t, rational(1, 3), rational(0), rational(2, 3) - t]),
+        ]
+        for n in (3, 4, 5):
+            exps = [rng.choice(choices) for _ in range(n - 1)]
+            out.append(circle_rep(n, exps + [-sum(exps, ExponentScalar())]))
+        # PSL(2, Z): z -> -1/z has order 2 and z -> z + 1 infinite order
+        out.append(
+            Representation(
+                SurfacePresentation(0, 3),
+                "moebius",
+                {"c1": moebius(0, -1, 1, 0), "c2": moebius(1, 1, 0, 1)},
+            )
+        )
+        return out
+
+    def test_sweep_matches_pairwise_oracle_on_the_abstract_cover(self):
+        rng = random.Random(20261019)
+        bits = []
+        self_glued_covers = 0
+        for rep in self.covers(rng):
+            cover = AbstractCover(rep)
+            self_glued_covers += any(s.is_identity for s in cover.surface._steps.values())
+            words = self.kernel_words(rep, rng, 6)
+            assert len(words) >= 3, rep.presentation
+            for a in words:
+                for b in words:
+                    p1, p2 = cover.lift(a), cover.lift(b)
+                    bit = intersection_number_mod2(p1, p2)
+                    assert bit == pairwise_parity(p1, p2), (rep.kind, a, b)
+                    bits.append(bit)
+        assert self_glued_covers >= 2
+        assert 0 < sum(bits) < len(bits)
+
+    def test_sweep_matches_pairwise_oracle_on_a_glued_ball(self, log3_case2):
+        rng = random.Random(7)
+        t = symbol("t")
+        bits = []
+        for rep, radius in ((log3_case2, 8), (circle_rep(4, [t, rational(1, 3), rational(0), rational(2, 3) - t]), 6)):
+            s = surface_for(rep, radius)
+            bases = sorted((v for v, d in s.ball.distances.items() if d <= 1), key=lambda v: v.key())
+            lifts = [
+                p
+                for w in self.kernel_words(rep, rng, 6)
+                for p in (lift_cycle(rep, s, w, base) for base in bases)
+                if p.closed
+            ]
+            assert len(lifts) >= 6
+            for p1 in lifts:
+                for p2 in lifts:
+                    bit = intersection_number_mod2(p1, p2)
+                    assert bit == pairwise_parity(p1, p2)
+                    bits.append(bit)
+        assert 0 < sum(bits) < len(bits)
+
+    def test_a_word_is_lifted_once_per_cover(self, log3_case2):
+        cover = AbstractCover(log3_case2)
+        w = commutator(Word.generator("c1"), Word.generator("c2"))
+        again = commutator(Word.generator("c1"), Word.generator("c2"))
+        assert cover.lift(w) is cover.lift(w) is cover.lift(again)
+        assert cover.lift(w) is not AbstractCover(log3_case2).lift(w)
+        assert cover.lift(w).face_ids[0] == cover.lift(w).face_ids[-1]
+
+    def test_a_dropped_cover_is_freed_without_the_cycle_collector(self, log3_case2):
+        # the memo holds paths; a path pointing back at the cover would make
+        # every witness search leave a reference cycle behind
+        import gc
+        import weakref
+
+        cover = AbstractCover(log3_case2)
+        path = cover.lift(commutator(Word.generator("c1"), Word.generator("c2")))
+        gone = weakref.ref(cover)
+        gc.disable()
+        try:
+            del cover
+            assert gone() is None
+        finally:
+            gc.enable()
+        assert path.closed
+
+    def test_blind_spot_search_lifts_each_distinct_word_once(self, monkeypatch):
+        from leaftype import handle_witness_search
+
+        lifts, calls = [0], [0]
+        _lift, lift = gluing._lift, AbstractCover.lift
+
+        def counting_lift(*args):
+            lifts[0] += 1
+            return _lift(*args)
+
+        def counting_calls(self, word):
+            calls[0] += 1
+            return lift(self, word)
+
+        monkeypatch.setattr(gluing, "_lift", counting_lift)
+        monkeypatch.setattr(AbstractCover, "lift", counting_calls)
+        t = symbol("t")
+        rep = circle_rep(4, [t.scale(2), rational(0), t.scale(2), t.scale(-4)])
+        assert handle_witness_search(rep) is None
+        assert calls[0] == 864
+        assert lifts[0] <= 144
