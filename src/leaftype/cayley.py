@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .targets import BudgetExceededError, Element, Representation
-
-DEFAULT_VERTEX_BUDGET = 10**6
+from .targets import DEFAULT_VERTEX_BUDGET, BudgetExceededError, Element, Representation
 
 
 @dataclass

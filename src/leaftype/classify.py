@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import DEFAULT_VERTEX_BUDGET
 from .gluing import AbstractCover, genus_growth, intersection_number_mod2
 from .targets import (
     CIRCLE,
+    DEFAULT_VERTEX_BUDGET,
     INFINITE,
     MOEBIUS_FINITE_CAP,
     PERMUTATION,
@@ -518,7 +518,7 @@ def classify_cover(
     invariant stayed inconclusive (the report always comes back).
     """
     pres = rep.presentation
-    finite, order = deck_group_is_finite(rep)
+    finite, order = deck_group_is_finite(rep, vertex_budget)
     orders = boundary_orders(rep)
     if finite:
         label = _riemann_hurwitz(pres, order, orders)

@@ -1,8 +1,11 @@
 """Command-line interface: classify covers, export Cayley balls and surfaces.
 
     leaftype classify --config cfg.json [--radius 2,4,6] [--search-bound 6]
-    leaftype ball     --config cfg.json --radius 4 [--budget 1000000]
+    leaftype ball     --config cfg.json --radius 4
     leaftype surface  --config cfg.json [--radius 2,4,6]
+
+Every command takes [--budget 1000000], the most elements one Cayley ball
+or one permutation deck enumeration may hold.
 
 One JSON config schema serves all entry points, discriminated by "kind":
 logarithmic, homogeneous, riccati or representation. Symbols standing for
@@ -25,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from .cayley import DEFAULT_VERTEX_BUDGET, build_ball, export_dot
+from .cayley import build_ball, export_dot
 from .classify import DEFAULT_RADII, DEFAULT_SEARCH_BOUND, classify_cover
 from .foliations import (
     InvalidFoliationError,
@@ -42,6 +45,7 @@ from .foliations import (
 from .gluing import InternalConsistencyError, genus_growth
 from .scalars import ExponentScalar, GaussianRational, as_fraction
 from .targets import (
+    DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
     CIRCLE,
     CircleElement,

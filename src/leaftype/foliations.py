@@ -27,10 +27,15 @@ from .classify import (
     classify_cover,
     handle_witness_search,
 )
-from .cayley import DEFAULT_VERTEX_BUDGET
 from .gluing import InternalConsistencyError
 from .scalars import ExponentScalar, GaussianRational
-from .targets import MOEBIUS, MoebiusElement, Representation, deck_group_is_finite
+from .targets import (
+    DEFAULT_VERTEX_BUDGET,
+    MOEBIUS,
+    MoebiusElement,
+    Representation,
+    deck_group_is_finite,
+)
 from .words import SurfacePresentation
 
 PROPORTIONAL = "proportional"

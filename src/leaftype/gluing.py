@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import CayleyBall, DEFAULT_VERTEX_BUDGET, build_ball
-from .targets import Element, Representation
+from .cayley import CayleyBall, build_ball
+from .targets import DEFAULT_VERTEX_BUDGET, Element, Representation
 from .words import Letter, SurfacePresentation, Word
 
 Crossing = Tuple[str, int]  # (pair name, +1 = cross from the pos slot side)
@@ -191,39 +191,6 @@ class DomainTemplate:
         return steps
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def class_count(self, universe: range) -> int:
-        return len({self.find(x) for x in universe})
-
-
-@dataclass
-class BoundaryComponent:
-    sides: List[Tuple[int, int]]  # (face index, slot index)
-    labels: List[str]
-
-    def pure_beta_index(self) -> Optional[int]:
-        names = set(self.labels)
-        if len(names) == 1:
-            name = next(iter(names))
-            if name.startswith("beta"):
-                return int(name[4:])
-        return None
-
-
 class _LiftSurface:
     """What lifting and parity need of a surface: the template, the deck
     element each crossing moves a face by, and an int id per face."""
@@ -256,9 +223,12 @@ class GluedSurface(_LiftSurface):
 
     Face set equals the ball vertices; a glued slot is paired exactly when
     the shifted partner face lies in the ball, otherwise it is a free
-    frontier edge. All invariants are computed on the component containing
-    the root face (partial balls of nonabelian covers can disconnect; the
-    connected flag records it).
+    frontier edge. Side `slot` of face f is the int f * size + slot, and so
+    is the corner where that side starts; partner[s] is the side glued to
+    side s, or -1 for a free side. V and E count the whole surface; F, chi
+    and the boundary count in `to_json_dict` are those of the component
+    containing the root face (partial balls of nonabelian covers can
+    disconnect; the connected flag records it).
     """
 
     def __init__(self, rep: Representation, ball: CayleyBall):
@@ -272,155 +242,114 @@ class GluedSurface(_LiftSurface):
     # -- construction ------------------------------------------------------
 
     def _glue(self) -> None:
-        tpl = self.template
-        self.pairings: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        L = self.template.size
+        index = self.face_index
+        pairs = [
+            (pair.pos_slot, pair.neg_slot, self._steps[name, 1])
+            for name, pair in self.template.pairs.items()
+        ]
+        partner = [-1] * (len(self.faces) * L)
         for fi, v in enumerate(self.faces):
-            for name, pair in tpl.pairs.items():
-                fj = self.face_index.get(v.compose(self._steps[name, 1]))
+            for pos, neg, shift in pairs:
+                fj = index.get(v.compose(shift))
                 if fj is not None:
-                    self.pairings[(fi, pair.pos_slot)] = (fj, pair.neg_slot)
-                    self.pairings[(fj, pair.neg_slot)] = (fi, pair.pos_slot)
-        self.free_sides: List[Tuple[int, int]] = []
-        for fi in range(len(self.faces)):
-            for slot in range(tpl.size):
-                if (fi, slot) not in self.pairings:
-                    self.free_sides.append((fi, slot))
-        self.free_sides.sort()
-
-    def _corner(self, face: int, slot: int) -> int:
-        return face * self.template.size + slot
+                    partner[fi * L + pos] = fj * L + neg
+                    partner[fj * L + neg] = fi * L + pos
+        self.partner = partner
+        self.free_sides: List[int] = [s for s, t in enumerate(partner) if t < 0]
 
     def _count(self) -> None:
+        """Count V twice, by union-find and by rotation walks, and trace the
+        boundary circles on the same walks.
+
+        Glued sides run in opposite directions, so corner c, where side c
+        starts, is the same vertex as rot[c], the corner where the side glued
+        to side c ends; rot[c] is -1 where side c is free. A vertex is a
+        union-find class of {c, rot[c]}, and again one walk along rot: a
+        chain from the end of a free side to the next free side along that
+        boundary circle, or a closed orbit. A walk that meets a corner twice
+        raises, so a broken partner list cannot make it loop.
+        """
         L = self.template.size
-        nfaces = len(self.faces)
-        uf = _UnionFind(nfaces * L)
-        seen = set()
-        for (fi, p), (fj, q) in self.pairings.items():
-            if ((fj, q), (fi, p)) in seen:
+        partner, free = self.partner, self.free_sides
+        n = len(partner)
+        rot = [-1 if t < 0 else t + 1 - L if t % L == L - 1 else t + 1 for t in partner]
+
+        parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for c, d in enumerate(rot):
+            if d >= 0:
+                a, b = find(c), find(d)
+                if a != b:
+                    parent[b] = a
+        self.V = sum(p == x for x, p in enumerate(parent))
+
+        visited = [False] * n
+        vertices: List[int] = []  # the first corner of each chain and orbit
+        circles: List[int] = []  # the first side of each boundary circle
+        self._closed_betas = set()
+        for s0 in free:
+            if visited[s0 + 1 - L if s0 % L == L - 1 else s0 + 1]:
+                continue  # on a circle traced already
+            circles.append(s0)
+            pure = True  # every side in the same slot
+            s = s0
+            while True:
+                c = s + 1 - L if s % L == L - 1 else s + 1
+                if visited[c]:
+                    break
+                vertices.append(c)
+                visited[c] = True
+                while rot[c] >= 0:
+                    c = rot[c]
+                    if visited[c]:
+                        raise InternalConsistencyError("rotation walk revisited corner %d" % c)
+                    visited[c] = True
+                s = c  # the next free side along this circle
+                pure = pure and s % L == s0 % L
+            if s != s0:
+                raise InternalConsistencyError("boundary cycle did not close up")
+            label, role = self.template.slots[s0 % L]
+            if pure and role == "free":
+                self._closed_betas.add(int(label[4:]))
+        for c0 in range(n):
+            if visited[c0]:
                 continue
-            seen.add(((fi, p), (fj, q)))
-            uf.union(self._corner(fi, p), self._corner(fj, (q + 1) % L))
-            uf.union(self._corner(fi, (p + 1) % L), self._corner(fj, q))
-        self._corner_uf = uf
-        self.F = nfaces
-        self.E = len(seen) + len(self.free_sides)
-        self.V = uf.class_count(range(nfaces * L))
-        self.chi = self.V - self.E + self.F
-        v_traced = self._trace_vertex_cycles()
-        if v_traced != self.V:
+            vertices.append(c0)
+            c = c0
+            while True:
+                visited[c] = True
+                c = rot[c]
+                if c == c0:
+                    break
+                if c < 0 or visited[c]:
+                    raise InternalConsistencyError("rotation orbit of corner %d did not close up" % c0)
+        if len(vertices) != self.V:
             raise InternalConsistencyError(
                 "vertex count mismatch: union-find %d vs rotation tracing %d"
-                % (self.V, v_traced)
+                % (self.V, len(vertices))
             )
-        self.boundary_components = self._trace_boundary()
-        self.r = len(self.boundary_components)
-        self._component_faces()
-        self._root_invariants()
 
-    def _rotation_next(self, face: int, slot: int) -> Optional[Tuple[int, int]]:
-        partner = self.pairings.get((face, slot))
-        if partner is None:
-            return None
-        fj, q = partner
-        return fj, (q + 1) % self.template.size
-
-    def _trace_vertex_cycles(self) -> int:
-        """Independent vertex count: orbits of the corner rotation map."""
-        L = self.template.size
-        nfaces = len(self.faces)
-        visited = [False] * (nfaces * L)
-        count = 0
-        # chains start where the incoming slot is unglued
-        for fi in range(nfaces):
-            for k in range(L):
-                if (fi, (k - 1) % L) in self.pairings:
-                    continue
-                if visited[self._corner(fi, k)]:
-                    continue
-                count += 1
-                cur: Optional[Tuple[int, int]] = (fi, k)
-                while cur is not None and not visited[self._corner(*cur)]:
-                    visited[self._corner(*cur)] = True
-                    cur = self._rotation_next(*cur)
-        for fi in range(nfaces):
-            for k in range(L):
-                if visited[self._corner(fi, k)]:
-                    continue
-                count += 1
-                cur = (fi, k)
-                while cur is not None and not visited[self._corner(*cur)]:
-                    visited[self._corner(*cur)] = True
-                    cur = self._rotation_next(*cur)
-        return count
-
-    def _boundary_next(self, side: Tuple[int, int]) -> Tuple[int, int]:
-        L = self.template.size
-        face, slot = side
-        cur = (face, (slot + 1) % L)
-        for _ in range(2 * self.F * L + 2):
-            if cur not in self.pairings:
-                return cur
-            fj, q = self.pairings[cur]
-            cur = (fj, (q + 1) % L)
-        raise InternalConsistencyError("boundary tracing did not terminate")
-
-    def _trace_boundary(self) -> List[BoundaryComponent]:
-        out: List[BoundaryComponent] = []
-        remaining = set(self.free_sides)
-        for start in self.free_sides:
-            if start not in remaining:
-                continue
-            sides = []
-            cur = start
-            while cur in remaining:
-                remaining.discard(cur)
-                sides.append(cur)
-                cur = self._boundary_next(cur)
-            if cur != start:
-                raise InternalConsistencyError("boundary cycle did not close up")
-            out.append(
-                BoundaryComponent(
-                    sides, [self.template.slots[s][0] for _, s in sides]
-                )
-            )
-        return out
-
-    def _component_faces(self) -> None:
-        uf = _UnionFind(len(self.faces))
-        for (fi, _), (fj, _) in self.pairings.items():
-            uf.union(fi, fj)
-        roots = {uf.find(i) for i in range(len(self.faces))}
-        self.n_components = len(roots)
-        self.connected = self.n_components == 1
-        root_face = self.face_index[self.ball.root]
-        self.root_faces = {
-            i for i in range(len(self.faces)) if uf.find(i) == uf.find(root_face)
-        }
-
-    def _root_invariants(self) -> None:
-        if self.connected:
-            self.root_chi, self.root_r, self.root_F = self.chi, self.r, self.F
-        else:
-            L = self.template.size
-            faces = self.root_faces
-            F = len(faces)
-            pair_count = sum(
-                1
-                for (fi, p), (fj, q) in self.pairings.items()
-                if fi in faces and (fi, p) <= (fj, q)
-            )
-            free_count = sum(1 for fi, _ in self.free_sides if fi in faces)
-            E = pair_count + free_count
-            classes = {
-                self._corner_uf.find(self._corner(fi, k))
-                for fi in faces
-                for k in range(L)
-            }
-            self.root_chi = len(classes) - E + F
-            self.root_r = sum(
-                1 for b in self.boundary_components if b.sides[0][0] in faces
-            )
-            self.root_F = F
+        self.F = len(self.faces)
+        self.E = (n + len(free)) // 2  # glued sides pair up
+        self.chi = self.V - self.E + self.F
+        self.r = len(circles)
+        in_root = self._root_component()
+        self.root_F = sum(in_root)
+        self.connected = self.root_F == self.F
+        # chains, orbits and glued sides never leave a component
+        self.root_chi = (
+            sum(in_root[c // L] for c in vertices)
+            - (self.root_F * L + sum(in_root[s // L] for s in free)) // 2
+            + self.root_F
+        )
+        self.root_r = sum(in_root[s // L] for s in circles)
         genus2 = 2 - self.root_chi - self.root_r
         if genus2 < 0 or genus2 % 2 != 0:
             raise InternalConsistencyError(
@@ -428,25 +357,36 @@ class GluedSurface(_LiftSurface):
             )
         self.genus = genus2 // 2
 
+    def _root_component(self) -> List[bool]:
+        """Per face: whether glued sides connect it to the root face."""
+        L = self.template.size
+        root = self.face_index[self.ball.root]
+        in_root = [False] * len(self.faces)
+        in_root[root] = True
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            for t in self.partner[f * L:f * L + L]:
+                if t >= 0 and not in_root[t // L]:
+                    in_root[t // L] = True
+                    stack.append(t // L)
+        return in_root
+
     # -- queries -----------------------------------------------------------
 
     def closed_beta_indices(self) -> set:
         """Puncture indices whose delta-circle closes up inside this ball."""
-        out = set()
-        for comp in self.boundary_components:
-            j = comp.pure_beta_index()
-            if j is not None:
-                out.add(j)
-        return out
+        return set(self._closed_betas)
 
     def orientation_consistent(self) -> bool:
         """Every pairing joins a pos-side slot to a neg-side slot, so giving
         all faces the same orientation reverses glued edges as required."""
-        for (fi, p), (fj, q) in self.pairings.items():
-            roles = {self.template.slots[p][1], self.template.slots[q][1]}
-            if roles != {"pos", "neg"}:
-                return False
-        return True
+        L = self.template.size
+        roles = [role for _, role in self.template.slots]
+        return all(
+            t < 0 or {roles[s % L], roles[t % L]} == {"pos", "neg"}
+            for s, t in enumerate(self.partner)
+        )
 
     def _face_id(self, element: Element) -> Optional[int]:
         return self.face_index.get(element)
@@ -527,10 +467,6 @@ class LiftedPath:
     @property
     def exits_ball(self) -> bool:
         return not self.complete
-
-    @property
-    def end_face(self) -> Optional[int]:
-        return self.face_ids[-1] if self.complete else None
 
     @property
     def closed(self) -> bool:

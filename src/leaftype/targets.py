@@ -652,20 +652,26 @@ def enumerate_group(identity: Element, gens: Sequence[Element], cap: int) -> Set
 # most 24: element orders are restricted to {1,2,3,4,6} by the trace test, so
 # only cyclic (<=6), dihedral (<=12), A4 (12) and S4 (24) can occur.
 MOEBIUS_FINITE_CAP = 64
+# default --budget: the most elements one Cayley ball or one permutation deck
+# enumeration may hold
+DEFAULT_VERTEX_BUDGET = 10**6
 
 
-def deck_group_is_finite(rep: Representation, cap: int = 200000) -> Tuple[bool, int | None]:
+def deck_group_is_finite(
+    rep: Representation, vertex_budget: int = DEFAULT_VERTEX_BUDGET
+) -> Tuple[bool, int | None]:
     """Decide finiteness of the image group and give its order; exact for all three targets.
 
     A finite circle image is a finite subgroup of Q/Z, hence cyclic, and its
     order is the lcm of the generator orders; only the other two targets are
-    enumerated.
+    enumerated. A permutation image larger than vertex_budget raises
+    BudgetExceededError.
     """
     gens = [rep.image(g) for g in rep.presentation.free_gens]
     if rep.kind == PERMUTATION:
-        elements = enumerate_group(rep.identity(), gens, cap)
+        elements = enumerate_group(rep.identity(), gens, vertex_budget)
         if elements is None:
-            raise BudgetExceededError("permutation deck enumeration", cap)
+            raise BudgetExceededError("permutation deck enumeration", vertex_budget)
         return True, len(elements)
     orders = [g.order() for g in gens]
     if INFINITE in orders:

@@ -46,7 +46,12 @@ class Word:
         return Word(((gen, -1),) * -power)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word.from_letters(self.letters + other.letters)
+        # both words are reduced, so letters can cancel only at the junction
+        a, b = self.letters, other.letters
+        k, m = 0, min(len(a), len(b))
+        while k < m and a[-1 - k][0] == b[k][0] and a[-1 - k][1] == -b[k][1]:
+            k += 1
+        return Word(a[: len(a) - k] + b[k:])
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))

@@ -184,7 +184,10 @@ def _third_party_chi(s):
         return x
 
     pair_count = 0
-    for (fi, p), (fj, q) in s.pairings.items():
+    for side, other in enumerate(s.partner):
+        if other < 0:
+            continue
+        (fi, p), (fj, q) = divmod(side, L), divmod(other, L)
         if (fi, p) <= (fj, q):
             pair_count += 1
             a, b = find(fi * L + p), find(fj * L + (q + 1) % L)

@@ -374,6 +374,21 @@ class TestBallCommand:
         assert code == 2
         assert "budget" in err
 
+    def test_budget_bounds_permutation_deck_enumeration(self, tmp_path, capsys):
+        # a transposition and a 4-cycle generate S4, 24 elements
+        cfg = write_config(
+            tmp_path,
+            {"kind": "representation", "target": "permutation", "genus": 0,
+             "punctures": 3, "images": {"c1": [1, 0, 2, 3], "c2": [1, 2, 3, 0]}},
+        )
+        argv = ["classify", "--config", str(cfg), "--out", str(tmp_path)]
+        code, _, err = run_cli(argv + ["--budget", "10"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "permutation deck enumeration" in err
+        code, _, _ = run_cli(argv + ["--budget", "24"], capsys)
+        assert code == 0
+
     def test_logarithmic_component_ball(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +21,7 @@ from leaftype import (
     lift_cycle,
 )
 from leaftype import gluing
-from leaftype.gluing import AbstractCover
+from leaftype.gluing import AbstractCover, InternalConsistencyError
 from leaftype.scalars import ExponentScalar
 from leaftype.targets import MoebiusElement, PermutationElement
 
@@ -101,7 +103,10 @@ class TestEulerBookkeeping:
                 parent[ry] = rx
 
         pair_count = 0
-        for (fi, p), (fj, q) in s.pairings.items():
+        for side, other in enumerate(s.partner):
+            if other < 0:
+                continue
+            (fi, p), (fj, q) = divmod(side, L), divmod(other, L)
             if (fi, p) <= (fj, q):
                 pair_count += 1
                 union(fi * L + p, fj * L + (q + 1) % L)
@@ -333,6 +338,54 @@ class TestFiniteCoverAgainstFormula:
         assert (s.genus, s.r) == (0, 8)
         small = surface_for(rep, 1)
         assert small.genus >= 0  # partial nonabelian balls stay consistent
+
+
+class TestPermutationCoverSurfaces:
+    """Glued surfaces of seeded permutation covers, pinned to the values the
+    tuple-keyed gluing gave; 72 of the 200 are disconnected partial balls."""
+
+    GOLDEN_SHA256 = "423188b16633dd9c7d27e4e6aa3725a099062bb362cbf110dc1f6b4d7154445f"
+
+    @staticmethod
+    def covers(count, seed):
+        rng = random.Random(seed)
+        for _ in range(count):
+            genus = rng.randint(0, 1)
+            pres = SurfacePresentation(genus, rng.randint(3, 4) if genus == 0 else rng.randint(1, 2))
+            degree = rng.randint(3, 5)
+            images = {}
+            for gen in pres.free_gens:
+                mapping = list(range(degree))
+                rng.shuffle(mapping)
+                images[gen] = PermutationElement.of(mapping)
+            yield Representation(pres, "permutation", images), rng.randint(1, 3)
+
+    def test_rows_match_golden(self):
+        rows = []
+        for rep, radius in self.covers(200, 20261019):
+            s = surface_for(rep, radius)
+            rows.append(dict(
+                s.to_json_dict(),
+                root_F=s.root_F,
+                closed_beta=sorted(s.closed_beta_indices()),
+                whole_chi=s.chi,
+                whole_r=s.r,
+            ))
+        assert sum(not row["connected"] for row in rows) == 72
+        assert sum(row["root_F"] for row in rows) == 2429
+        assert sum(row["genus"] for row in rows) == 895
+        text = "\n".join(json.dumps(row, sort_keys=True) for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_partner_glued_to_two_sides_raises(self, log3_case2):
+        s = surface_for(log3_case2, 2)
+        glued = [side for side, other in enumerate(s.partner) if other >= 0]
+        a = glued[0]
+        c = next(side for side in glued if side not in (a, s.partner[a]))
+        # side a now claims c's partner, which stays glued to c
+        s.partner[a] = s.partner[c]
+        with pytest.raises(InternalConsistencyError):
+            s._count()
 
 
 class TestParityProperties:

@@ -94,6 +94,23 @@ class TestWordAlgebra:
             w = Word.from_letters(raw)
             assert (w * w.inverse()).is_empty
 
+    def test_product_equals_reduced_concatenation(self):
+        # few generators, so products often cancel deep into both words
+        rng = random.Random(12)
+
+        def random_word():
+            return Word.from_letters(
+                (rng.choice(("a1", "b1")), rng.choice([1, -1])) for _ in range(rng.randrange(0, 8))
+            )
+
+        cancelled = 0
+        for _ in range(500):
+            u, v = random_word(), random_word()
+            product = u * v
+            assert product == Word.from_letters(u.letters + v.letters)
+            cancelled += len(product) < len(u) + len(v)
+        assert cancelled > 50
+
 
 class TestPunctureWitness:
     def test_unit_exponents(self):
