@@ -18,7 +18,9 @@ types; anything uncertain keeps its evidence report and withholds the name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cache
+from itertools import permutations
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gluing import AbstractCover, genus_growth, intersection_number_mod2
 from .targets import (
@@ -32,7 +34,6 @@ from .targets import (
     Representation,
     circle_free_rank,
     deck_group_is_finite,
-    element_power,
     enumerate_group,
     ping_pong_free_certificate,
 )
@@ -242,237 +243,20 @@ def _riemann_hurwitz(pres: SurfacePresentation, k: int, orders: Sequence[Order])
 # -- handle witness search ----------------------------------------------------
 
 
-class _SearchCtx:
-    """Memoized order and power lookups for one witness search."""
-
-    def __init__(self, rep: Representation):
-        self.rep = rep
-        self._orders: Dict[str, Order] = {}
-        self._powers: Dict[Tuple[str, int], Element] = {}
-
-    def order(self, gen: str) -> Order:
-        if gen not in self._orders:
-            self._orders[gen] = self.rep.image(gen).order()
-        return self._orders[gen]
-
-    def order_exceeds(self, gen: str, bound: int) -> bool:
-        """True iff no power of the image of gen up to the bound is trivial."""
-        o = self.order(gen)
-        return o == INFINITE or int(o) > bound
-
-    def power(self, gen: str, n: int) -> Element:
-        key = (gen, n)
-        if key not in self._powers:
-            self._powers[key] = element_power(self.rep.image(gen), n)
-        return self._powers[key]
-
-    def products_nontrivial(self, b: str, d: str, beta_max: int, delta_max: int) -> bool:
-        """Check b^beta d^delta not in the kernel for all exponents in range."""
-        for beta in range(1, beta_max + 1):
-            pb = self.power(b, beta)
-            for delta in range(1, delta_max + 1):
-                if pb.compose(self.power(d, delta)).is_identity:
-                    return False
-        return True
-
-
-def _cyclic_intersection_size(x: Element, y: Element) -> Optional[int]:
-    """|<x> ∩ <y>| for two finite-order elements; None if either is infinite."""
-    ox, oy = x.order(), y.order()
-    if ox == INFINITE or oy == INFINITE:
-        return None
-    xs = set()
-    acc = x.compose(x.inverse())
-    for _ in range(int(ox)):
-        xs.add(acc)
-        acc = acc.compose(x)
-    count = 0
-    acc = y.compose(y.inverse())
-    for _ in range(int(oy)):
-        if acc in xs:
-            count += 1
-        acc = acc.compose(y)
-    return count
-
-
-@dataclass
-class _Candidate:
-    case: str
-    params: Dict[str, object]
-    gamma1: Word
-    gamma2: Word
-
-
-def _boundary_pair_candidates(
-    ctx: _SearchCtx, total: int, max_exp: int
-) -> List[_Candidate]:
-    pres, rep = ctx.rep.presentation, ctx.rep
-    out: List[_Candidate] = []
-    if pres.genus != 0 or pres.punctures < 3:
-        return out
-    usable = pres.punctures - 1  # witness pairs come from the canonical set
-    for i in range(1, usable + 1):
-        for j in range(1, usable + 1):
-            if i == j:
-                continue
-            for m in range(1, max_exp + 1):
-                for mp in range(1, max_exp + 1):
-                    l = total - m - mp
-                    if not 1 <= l <= max_exp:
-                        continue
-                    if not ctx.order_exceeds(pres.c(i), m + mp):
-                        continue
-                    if not ctx.order_exceeds(pres.c(j), l):
-                        continue
-                    g1, g2 = puncture_pair_witness(pres, i, j, m, mp, l)
-                    if not rep.evaluate(g1).is_identity:
-                        continue
-                    if not rep.evaluate(g2).is_identity:
-                        continue
-                    out.append(
-                        _Candidate(
-                            "boundary_pair",
-                            {"i": i, "j": j, "m": m, "m_prime": mp, "l": l},
-                            g1,
-                            g2,
-                        )
-                    )
-    return out
-
-
-def _handle_pair_candidates(
-    ctx: _SearchCtx, total: int, max_exp: int
-) -> List[_Candidate]:
-    pres, rep = ctx.rep.presentation, ctx.rep
-    out: List[_Candidate] = []
-    if pres.genus < 1 or 2 * pres.genus + pres.punctures < 3:
-        return out
-    for j in range(1, pres.genus + 1):
-        aj, bj = pres.a(j), pres.b(j)
-        a_ord = ctx.order(aj)
-        b_ord = ctx.order(bj)
-        helpers = [d for d in pres.cayley_gens if d not in (aj, bj)]
-        # full commutator-type pair
-        for d in helpers:
-            for m in range(1, max_exp + 1):
-                if not ctx.order_exceeds(aj, m):
-                    break
-                for l in range(1, max_exp + 1):
-                    if not ctx.order_exceeds(bj, l):
-                        break
-                    for k in range(1, max_exp + 1):
-                        kp = total - m - l - k
-                        if not 1 <= kp <= max_exp:
-                            continue
-                        if not ctx.order_exceeds(d, k + kp):
-                            continue
-                        if not ctx.products_nontrivial(bj, d, l, k + kp):
-                            continue
-                        g1, g2 = handle_pair_witness(pres, j, d, m, l, k, kp)
-                        if not rep.evaluate(g1).is_identity:
-                            continue
-                        if not rep.evaluate(g2).is_identity:
-                            continue
-                        out.append(
-                            _Candidate(
-                                "handle_pair",
-                                {"j": j, "d": d, "m": m, "l": l, "k": k, "k_prime": kp},
-                                g1,
-                                g2,
-                            )
-                        )
-        # torsion shortcut on a_j: gamma1 = a_j^m with m its minimal exponent
-        if a_ord != INFINITE and int(a_ord) <= max_exp:
-            m = int(a_ord)
-            for d in helpers:
-                for l in range(1, max_exp + 1):
-                    kp = total - m - l
-                    if not 1 <= kp <= max_exp:
-                        continue
-                    if not ctx.order_exceeds(bj, l):
-                        break
-                    if not ctx.order_exceeds(d, kp):
-                        continue
-                    if not ctx.products_nontrivial(bj, d, l, kp):
-                        continue
-                    g1, g2 = handle_pair_witness(
-                        pres, j, d, m, l, 1, kp, a_torsion=True
-                    )
-                    if not rep.evaluate(g2).is_identity:
-                        continue
-                    out.append(
-                        _Candidate(
-                            "handle_pair_torsion_a",
-                            {"j": j, "d": d, "m": m, "l": l, "k_prime": kp},
-                            g1,
-                            g2,
-                        )
-                    )
-        # torsion shortcut on b_j
-        if b_ord != INFINITE and int(b_ord) <= max_exp:
-            l = int(b_ord)
-            for d in helpers:
-                for m in range(1, max_exp + 1):
-                    k = total - m - l
-                    if not 1 <= k <= max_exp:
-                        continue
-                    if not ctx.order_exceeds(aj, m):
-                        break
-                    if not ctx.order_exceeds(d, k):
-                        continue
-                    if not ctx.products_nontrivial(aj, d, m, k):
-                        continue
-                    g1, g2 = handle_pair_witness(
-                        pres, j, d, m, l, k, 1, b_torsion=True
-                    )
-                    if not rep.evaluate(g1).is_identity:
-                        continue
-                    out.append(
-                        _Candidate(
-                            "handle_pair_torsion_b",
-                            {"j": j, "d": d, "m": m, "l": l, "k": k},
-                            g1,
-                            g2,
-                        )
-                    )
-        # both torsion: the plain handle survives; parity needs odd overlap
-        if (
-            a_ord != INFINITE
-            and b_ord != INFINITE
-            and int(a_ord) <= max_exp
-            and int(b_ord) <= max_exp
-            and int(a_ord) + int(b_ord) == total
-        ):
-            overlap = _cyclic_intersection_size(rep.image(aj), rep.image(bj))
-            if overlap is not None and overlap % 2 == 1:
-                g1, g2 = handle_pair_witness(
-                    pres, j, "", int(a_ord), int(b_ord), 1, 1,
-                    a_torsion=True, b_torsion=True,
-                )
-                out.append(
-                    _Candidate(
-                        "handle_pair_torsion_both",
-                        {"j": j, "m": int(a_ord), "l": int(b_ord)},
-                        g1,
-                        g2,
-                    )
-                )
-    return out
-
-
 def handle_witness_search(
     rep: Representation,
     max_exp: int = DEFAULT_SEARCH_BOUND,
 ) -> Optional[Witness]:
     """First certified handle-witness pair, or None up to the bound.
 
-    Candidates satisfying the algebraic membership and non-membership side
-    conditions are enumerated in increasing total exponent (boundary pairs
-    before handle pairs, then lexicographically). Each candidate is then
-    confirmed geometrically: both cycles must lift closed in the full cover
-    and cross with parity one. Confirmation
-    filters out configurations whose local crossing at the base is cancelled
-    by extra global crossings, which the bare side conditions allow.
+    Candidates satisfying the power side conditions come from `_candidates`,
+    one total exponent at a time (boundary pairs before handle pairs, then
+    lexicographically), and are tested as they come: both words must lie in
+    the kernel, lift closed in the full cover and cross with parity one. The
+    search stops at the first pair that passes. The geometric test filters
+    out configurations whose local crossing at the base is cancelled by
+    extra global crossings, which the bare side conditions allow. Each
+    distinct word is evaluated once and lifted once.
     """
     pres = rep.presentation
     if pres.genus == 0 and pres.punctures < 3:
@@ -480,27 +264,129 @@ def handle_witness_search(
     if pres.genus >= 1 and 2 * pres.genus + pres.punctures < 3:
         return None
     cover = AbstractCover(rep)
-    ctx = _SearchCtx(rep)
-    max_total = 4 * max_exp
-    for total in range(2, max_total + 1):
-        candidates = _boundary_pair_candidates(ctx, total, max_exp)
-        candidates += _handle_pair_candidates(ctx, total, max_exp)
-        for cand in candidates:
-            confirmed = _confirm_witness(cover, cand)
-            if confirmed is not None:
-                return confirmed
+    orders = {g: rep.image(g).order() for g in pres.cayley_gens}
+    powers = {g: [rep.image(g)] for g in pres.cayley_gens}
+
+    def power(gen: str, n: int) -> Element:
+        """gen^n for n >= 1, each power composed once per search."""
+        ps = powers[gen]
+        while len(ps) < n:
+            ps.append(ps[-1].compose(ps[0]))
+        return ps[n - 1]
+
+    @cache
+    def in_kernel(word: Word) -> bool:
+        return rep.evaluate(word).is_identity
+
+    for total in range(2, 4 * max_exp + 1):
+        for case, params, g1, g2 in _candidates(rep, total, max_exp, orders, power):
+            if not (in_kernel(g1) and in_kernel(g2)):
+                continue
+            p1, p2 = cover.lift(g1), cover.lift(g2)
+            if p1.closed and p2.closed and intersection_number_mod2(p1, p2) == 1:
+                faces = set(p1.face_ids[1:]).union(p2.face_ids[1:])
+                return Witness(case, params, g1, g2, len(faces))
     return None
 
 
-def _confirm_witness(cover: AbstractCover, cand: _Candidate) -> Optional[Witness]:
-    p1 = cover.lift(cand.gamma1)
-    p2 = cover.lift(cand.gamma2)
-    if not (p1.closed and p2.closed):
-        return None
-    if intersection_number_mod2(p1, p2) != 1:
-        return None
-    faces = set(p1.face_ids[1:]).union(p2.face_ids[1:])
-    return Witness(cand.case, cand.params, cand.gamma1, cand.gamma2, len(faces))
+def _candidates(
+    rep: Representation,
+    total: int,
+    max_exp: int,
+    orders: Dict[str, Order],
+    power: Callable[[str, int], Element],
+) -> Iterator[Tuple[str, Dict[str, object], Word, Word]]:
+    """(case, params, gamma1, gamma2) of total exponent total, in search order.
+
+    A punctured sphere gives boundary pairs. A surface with handles gives,
+    per handle j, the commutator pairs, then the torsion shortcuts on a_j,
+    on b_j and on both. Every candidate meets the power side conditions; the
+    kernel test is left to the caller. A torsion word a_j^m or b_j^l lies in
+    the kernel by construction.
+    """
+    pres = rep.presentation
+
+    def exceeds(gen: str, bound: int) -> bool:
+        """True iff no power of the image of gen up to the bound is trivial."""
+        o = orders[gen]
+        return o == INFINITE or int(o) > bound
+
+    def finite_order(gen: str) -> Optional[int]:
+        """The order of the image of gen if it is at most max_exp."""
+        return None if exceeds(gen, max_exp) else int(orders[gen])
+
+    def products_nontrivial(b: str, d: str, beta_max: int, delta_max: int) -> bool:
+        """Check b^beta d^delta not in the kernel for all exponents in range."""
+        return not any(
+            power(b, beta).compose(power(d, delta)).is_identity
+            for beta in range(1, beta_max + 1)
+            for delta in range(1, delta_max + 1)
+        )
+
+    def splits(rest: int) -> range:
+        """The x in 1..max_exp with rest - x also in 1..max_exp."""
+        return range(max(1, rest - max_exp), min(max_exp, rest - 1) + 1)
+
+    if pres.genus == 0:
+        # witness pairs come from the canonical set c_1 .. c_{n-1}
+        for i, j in permutations(range(1, pres.punctures), 2):
+            for m in range(1, max_exp + 1):
+                for mp in splits(total - m):
+                    l = total - m - mp
+                    if exceeds(pres.c(i), m + mp) and exceeds(pres.c(j), l):
+                        params = {"i": i, "j": j, "m": m, "m_prime": mp, "l": l}
+                        yield ("boundary_pair", params, *puncture_pair_witness(pres, i, j, m, mp, l))
+        return
+    for j in range(1, pres.genus + 1):
+        aj, bj = pres.a(j), pres.b(j)
+        helpers = [d for d in pres.cayley_gens if d not in (aj, bj)]
+        # full commutator-type pair; the side conditions read only k + k'
+        for d in helpers:
+            for m in range(1, max_exp + 1):
+                if not exceeds(aj, m):
+                    break
+                for l in range(1, max_exp + 1):
+                    if not exceeds(bj, l):
+                        break
+                    rest = total - m - l
+                    ks = splits(rest)
+                    if not (ks and exceeds(d, rest) and products_nontrivial(bj, d, l, rest)):
+                        continue
+                    for k in ks:
+                        params = {"j": j, "d": d, "m": m, "l": l, "k": k, "k_prime": rest - k}
+                        yield ("handle_pair", params, *handle_pair_witness(pres, j, d, m, l, k, rest - k))
+        # torsion shortcut on a_j: gamma1 = a_j^m with m its minimal exponent
+        m = finite_order(aj)
+        if m is not None:
+            for d in helpers:
+                for l in splits(total - m):
+                    if not exceeds(bj, l):
+                        break
+                    kp = total - m - l
+                    if exceeds(d, kp) and products_nontrivial(bj, d, l, kp):
+                        params = {"j": j, "d": d, "m": m, "l": l, "k_prime": kp}
+                        words = handle_pair_witness(pres, j, d, m, l, 1, kp, a_torsion=True)
+                        yield ("handle_pair_torsion_a", params, *words)
+        # torsion shortcut on b_j
+        l = finite_order(bj)
+        if l is not None:
+            for d in helpers:
+                for m in splits(total - l):
+                    if not exceeds(aj, m):
+                        break
+                    k = total - m - l
+                    if exceeds(d, k) and products_nontrivial(aj, d, m, k):
+                        params = {"j": j, "d": d, "m": m, "l": l, "k": k}
+                        words = handle_pair_witness(pres, j, d, m, l, k, 1, b_torsion=True)
+                        yield ("handle_pair_torsion_b", params, *words)
+        # both torsion: the plain handle survives; parity needs an odd
+        # overlap |<a_j> ∩ <b_j>| of the two cyclic images
+        m, l = finite_order(aj), finite_order(bj)
+        if m is not None and l is not None and m + l == total:
+            overlap = {power(aj, e) for e in range(1, m + 1)} & {power(bj, e) for e in range(1, l + 1)}
+            if len(overlap) % 2 == 1:
+                words = handle_pair_witness(pres, j, "", m, l, 1, 1, a_torsion=True, b_torsion=True)
+                yield ("handle_pair_torsion_both", {"j": j, "m": m, "l": l}, *words)
 
 
 # -- full classification ------------------------------------------------------

@@ -262,9 +262,18 @@ def component_holonomy(spec: LogFoliationSpec, j: int) -> Representation:
     (d-1)(d-2)/2 with one puncture per intersection point (the Bezout
     count, which validation holds every crossing override to); the loop
     around a crossing with component k maps to the multiplier
-    exp(2*pi*i*lambda_k/lambda_j). Handle generators default to trivial
-    holonomy, which is only geometry-complete for genus zero components;
-    witnesses using such handles are flagged.
+    exp(2*pi*i*lambda_k/lambda_j). Handle generators get trivial holonomy,
+    which loses no generality. Near D_j, the first integral
+    F = prod_k f_k^(lambda_k) gives F^(1/lambda_j) = f_j * prod_{k!=j}
+    f_k^(lambda_k/lambda_j), of degree zero by the residue relation. Along a
+    loop in D_j^* each f_k/h^(d_k) winds an integer number of times, for a
+    line h through no crossing, so every handle image lies in the group the
+    puncture images generate. Pushing a puncture p once around b_i is a
+    homeomorphism of D_j^* that sends a_i to a_i +- [c_p] in H_1 and fixes
+    the other standard classes (Birman exact sequence). The holonomy
+    factors through H_1, so a composite of pushes makes it trivial on every
+    handle and leaves it unchanged on every c_p, and the two kernels give
+    homeomorphic covers.
     """
     if not 1 <= j <= spec.r:
         raise ValueError("component index %d out of range" % j)
@@ -353,11 +362,6 @@ def classify_logarithmic(
                 "component": j,
                 "witness": witness.to_json_dict(),
             }
-            if rep.presentation.genus > 0 and witness.case.startswith("handle_pair"):
-                witness_info["note"] = (
-                    "witness uses default trivial handle holonomy of a "
-                    "positive-genus component"
-                )
             break
     evidence["handle_witness"] = witness_info
     return Verdict(SurfaceTypeLabel("loch_ness_monster"), route, evidence, caveats)
@@ -385,14 +389,6 @@ def classify_homogeneous(
     n = len(exponents)
     if n < 1:
         raise ValueError("at least one invariant line is required")
-    total = ExponentScalar()
-    for e in exponents:
-        total = total + e
-    if not total.fractional().is_zero:
-        raise ValueError(
-            "exponents are inconsistent with the boundary relation: their sum "
-            "%s is not an integer" % total.key()
-        )
     pres = SurfacePresentation(0, n)
     rep = Representation.circle_from_exponents(pres, list(exponents))
     report, label = classify_cover(rep, search_bound, radii, vertex_budget)

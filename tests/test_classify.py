@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from leaftype import (
     riemann_hurwitz_finite,
 )
 from leaftype.classify import ENDS_CANTOR, ENDS_ONE, ENDS_TWO, ENDS_ZERO
+from leaftype.gluing import AbstractCover
 from leaftype.targets import MoebiusElement, PermutationElement, deck_group_is_finite
 
 
@@ -126,6 +130,82 @@ class TestWitnessSearch:
         w1 = handle_witness_search(log3_case2)
         w2 = handle_witness_search(log3_case2)
         assert w1.to_json_dict() == w2.to_json_dict()
+
+    def test_seeded_sweep_pins_witnesses_and_lifts(self, monkeypatch):
+        # Every witness (or None) and the lift count over a seeded sweep of
+        # infinite-deck circle covers. The sweep reaches every case, so a
+        # change of candidate order, of a side condition or of a word shows.
+        lifts = [0]
+        lift = AbstractCover.lift
+
+        def counting(self, word):
+            lifts[0] += 1
+            return lift(self, word)
+
+        reps = _sweep_circle_covers(random.Random(1), 300)
+        monkeypatch.setattr(AbstractCover, "lift", counting)
+        witnesses = [handle_witness_search(rep, max_exp=4) for rep in reps]
+        assert Counter(w.case if w else None for w in witnesses) == {
+            "boundary_pair": 116,
+            "handle_pair": 47,
+            "handle_pair_torsion_a": 28,
+            "handle_pair_torsion_b": 28,
+            "handle_pair_torsion_both": 18,
+            None: 63,
+        }
+        blob = json.dumps([w and w.to_json_dict() for w in witnesses], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "f273d4860a9169bc06e389aa3b6c3bb5b54de1490025ae6ad156e141c8b0d7f8"
+        )
+        assert lifts[0] == 2302
+
+    def test_blind_spot_evaluates_each_distinct_word_once(self, monkeypatch):
+        t = symbol("t")
+        rep = circle_rep(4, [t.scale(2), rational(0), t.scale(2), t.scale(-4)])
+        words = []
+        evaluate = Representation.evaluate
+
+        def counting(self, word):
+            words.append(word.letters)
+            return evaluate(self, word)
+
+        monkeypatch.setattr(Representation, "evaluate", counting)
+        assert handle_witness_search(rep) is None
+        assert len(words) == len(set(words)) == 148
+
+
+_SWEEP_EXPONENTS = (
+    [rational(0)],
+    [rational(p, q) for q in (2, 3, 4, 6) for p in range(1, q) if Fraction(p, q).denominator == q],
+    [symbol("s"), symbol("s", -1), symbol("t"), symbol("t", -1), symbol("s", 2)],
+)
+
+
+def _sweep_circle_covers(rng: random.Random, count: int):
+    """count seeded circle representations with an infinite deck group.
+
+    Genus 0 with 3-5 punctures or genus 1-2 with 0-3 punctures; each image
+    is 0, a rational of denominator 2, 3, 4 or 6, or a multiple of s or t,
+    one of the three kinds picked first. The last puncture closes the
+    relation.
+    """
+    def pick():
+        return rng.choice(rng.choice(_SWEEP_EXPONENTS))
+
+    reps = []
+    while len(reps) < count:
+        if rng.random() < 0.5:
+            pres = SurfacePresentation(0, rng.randint(3, 5))
+        else:
+            pres = SurfacePresentation(rng.randint(1, 2), rng.randint(0, 3))
+        handles = [pick() for _ in pres.handle_gens]
+        boundary = [pick() for _ in range(max(pres.punctures - 1, 0))]
+        if pres.punctures:
+            boundary.append(-sum(boundary, rational(0)))
+        rep = Representation.circle_from_exponents(pres, boundary, handles)
+        if not deck_group_is_finite(rep)[0]:
+            reps.append(rep)
+    return reps
 
 
 class TestRiemannHurwitz:

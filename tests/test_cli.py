@@ -613,6 +613,19 @@ class TestMalformedConfigs:
         assert err.startswith("invalid input: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_inconsistent_homogeneous_sum_one_message(self, tmp_path, capsys):
+        # the boundary relation is checked once, by the representation, so
+        # every command rejects exponents with a non-integer sum alike
+        cfg = write_config(tmp_path, {"kind": "homogeneous", "exponents": ["1/3", "1/3", "1/2"]})
+        errs = set()
+        for command in ("classify", "ball", "surface"):
+            code, out, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
+            assert (code, out) == (1, "")
+            errs.add(err)
+        (err,) = errs
+        assert err.startswith("invalid input: ") and "conflicts with the value the relation forces" in err
+        assert err.count("\n") == 1
+
 
 class TestKeysOnlyForExport:
     @pytest.mark.parametrize(

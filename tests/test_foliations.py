@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,18 +9,20 @@ from conftest import rational, symbol
 from leaftype import (
     LogComponent,
     LogFoliationSpec,
+    Representation,
     RiccatiSpec,
     SurfacePresentation,
     classify_homogeneous,
     classify_logarithmic,
     classify_riccati,
     component_holonomy,
+    handle_witness_search,
     validate_log_spec,
     validate_log_structure,
 )
 from leaftype.foliations import EXPLICIT_RATIOS, PROPORTIONAL, InvalidFoliationError
 from leaftype.scalars import ExponentScalar, GaussianRational
-from leaftype.targets import MoebiusElement, deck_group_is_finite
+from leaftype.targets import CIRCLE, MoebiusElement, deck_group_is_finite, element_power
 
 
 def lines(*coeffs):
@@ -165,6 +168,65 @@ class TestComponentHolonomy:
         assert rep.presentation.punctures == 2
         finite, _ = deck_group_is_finite(rep)
         assert not finite
+
+
+class TestTwistedHandleHolonomy:
+    """Trivial handle images lose no generality for a component cover.
+
+    Every handle image of a logarithmic component lies in the group the
+    puncture images generate, and puncture pushes carry any such choice to
+    the trivial one (see component_holonomy). So a cover whose handles map
+    to products of puncture images must agree with the default one.
+    """
+
+    SHAPES = ((3, 1, 1), (3, 2, 1), (4, 1, 1), (3, 1, 1, 1), (3, 3, 1))
+
+    def test_twisted_and_default_agree_on_witness(self):
+        rng = random.Random(1)
+        pairs = twisted_differs = 0
+        for degrees in self.SHAPES:
+            for _ in range(8):
+                spec = _random_generic_spec(rng, degrees)
+                for j, degree in enumerate(degrees, 1):
+                    rep = component_holonomy(spec, j)
+                    if degree < 3 or deck_group_is_finite(rep)[0]:
+                        continue
+                    twisted = _twist_handles(rep, rng)
+                    twisted_differs += any(
+                        not twisted.image(g).is_identity for g in rep.presentation.handle_gens
+                    )
+                    found = handle_witness_search(rep) is not None
+                    assert found == (handle_witness_search(twisted) is not None)
+                    pairs += 1
+        assert pairs == 48
+        assert twisted_differs == 48
+
+
+def _random_generic_spec(rng: random.Random, degrees) -> LogFoliationSpec:
+    """A proportional spec with small Gaussian-integer residues that passes validation."""
+    while True:
+        coeffs = [GaussianRational.of(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in degrees[:-1]]
+        total = GaussianRational.of(0)
+        for coeff, degree in zip(coeffs, degrees):
+            total = total + coeff * GaussianRational.of(degree)
+        coeffs.append(-total / GaussianRational.of(degrees[-1]))
+        if any(c.is_zero for c in coeffs):
+            continue
+        spec = LogFoliationSpec(PROPORTIONAL, [LogComponent(d, c) for d, c in zip(degrees, coeffs)])
+        if validate_log_spec(spec).valid:
+            return spec
+
+
+def _twist_handles(rep: Representation, rng: random.Random) -> Representation:
+    """rep with each handle image a random product of puncture-image powers."""
+    pres = rep.presentation
+    images = {g: rep.image(g) for g in pres.free_gens}
+    for gen in pres.handle_gens:
+        acc = rep.identity()
+        for c in pres.boundary_gens:
+            acc = acc.compose(element_power(rep.image(c), rng.randint(-2, 2)))
+        images[gen] = acc
+    return Representation(pres, CIRCLE, images)
 
 
 class TestClassifyLogarithmic:
