@@ -14,7 +14,6 @@ from .targets import (
     MoebiusElement,
     PermutationElement,
     Representation,
-    abelian_free_rank,
     ping_pong_free_certificate,
 )
 from .cayley import CayleyBall, build_ball, export_dot
@@ -22,7 +21,6 @@ from .gluing import (
     DomainTemplate,
     GluedSurface,
     genus_growth,
-    glue_ball,
     intersection_number_mod2,
     lift_cycle,
 )
@@ -31,14 +29,13 @@ from .classify import (
     SurfaceTypeLabel,
     boundary_orders,
     classify_cover,
-    ends_of_deck_group,
+    ends_of_group,
     handle_witness_search,
     riemann_hurwitz_finite,
 )
 from .foliations import (
     LogComponent,
     LogFoliationSpec,
-    RiccatiSpec,
     classify_homogeneous,
     classify_logarithmic,
     classify_riccati,
@@ -61,11 +58,9 @@ __all__ = [
     "MoebiusElement",
     "PermutationElement",
     "Representation",
-    "RiccatiSpec",
     "SurfacePresentation",
     "SurfaceTypeLabel",
     "Word",
-    "abelian_free_rank",
     "boundary_orders",
     "build_ball",
     "classify_cover",
@@ -74,10 +69,9 @@ __all__ = [
     "classify_riccati",
     "commutator",
     "component_holonomy",
-    "ends_of_deck_group",
+    "ends_of_group",
     "export_dot",
     "genus_growth",
-    "glue_ball",
     "handle_pair_witness",
     "handle_witness_search",
     "intersection_number_mod2",

@@ -11,12 +11,11 @@ and edges are built only for export.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .targets import DEFAULT_VERTEX_BUDGET, BudgetExceededError, Element, Representation
+from .targets import DEFAULT_VERTEX_BUDGET, BudgetExceededError, Element, Representation, enumerate_group
 
 
 @dataclass
@@ -48,7 +47,7 @@ class CayleyBall:
     def edges(self) -> List[Tuple[str, str, str]]:
         """(source key, generator id, target key), sorted; built on first export."""
         rep, keys = self.representation, self.keys
-        gens = [(name, rep.image(name)) for name in rep.presentation.cayley_gens]
+        gens = [(name, rep.image(name)) for name in rep.presentation.free_gens]
         edges = []
         for v, k in keys.items():
             for name, el in gens:
@@ -75,23 +74,10 @@ def build_ball(
     """BFS ball of the deck group in the word metric of the canonical generators."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    gens = [rep.image(name) for name in rep.presentation.cayley_gens]
-    # stepping by a trivial image never leaves the vertex
-    steps = [h for g in gens if not g.is_identity for h in (g, g.inverse())]
-    root = rep.identity()
-    distances: Dict[Element, int] = {root: 0}
-    queue = deque([(root, 0)])
-    while queue:
-        v, d = queue.popleft()
-        if d == radius:
-            continue
-        for el in steps:
-            w = v.compose(el)
-            if w not in distances:
-                if len(distances) >= vertex_budget:
-                    raise BudgetExceededError("Cayley ball vertex count", vertex_budget)
-                distances[w] = d + 1
-                queue.append((w, d + 1))
+    gens = [rep.image(name) for name in rep.presentation.free_gens]
+    distances = enumerate_group(rep.identity(), gens, vertex_budget, radius)
+    if distances is None:
+        raise BudgetExceededError("Cayley ball vertex count", vertex_budget)
     return CayleyBall(radius, distances, rep)
 
 

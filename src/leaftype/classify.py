@@ -28,7 +28,6 @@ from .targets import (
     DEFAULT_VERTEX_BUDGET,
     INFINITE,
     MOEBIUS_FINITE_CAP,
-    PERMUTATION,
     Element,
     Order,
     Representation,
@@ -150,24 +149,18 @@ class EndsReport:
 
 def boundary_orders(rep: Representation) -> List[Order]:
     """Exact holonomy order of each puncture loop c_1 .. c_n."""
-    return [
-        rep.image(c).order() for c in rep.presentation.boundary_gens
-    ]
+    return [rep.image(c).order() for c in rep.presentation.boundary_gens]
 
 
-def ends_of_deck_group(rep: Representation) -> str:
-    """End count of the group generated by all the generator images."""
-    images = [rep.image(g) for g in rep.presentation.free_gens]
-    return _ends_of_group(rep, images)
-
-
-def _ends_of_group(rep: Representation, images: Sequence[Element]) -> str:
+def ends_of_group(rep: Representation, images: Sequence[Element]) -> str:
     """Ends of the subgroup generated by the given images.
 
     Circle targets are decided by the torsion-free rank. Moebius targets are
     recognized in two safe patterns: an infinite cyclic image has two ends,
     and a certified ping-pong pair of parabolics has a Cantor set of ends;
-    everything else is reported inconclusive rather than guessed.
+    everything else is reported inconclusive rather than guessed. A finite
+    group of at most MOEBIUS_FINITE_CAP elements has zero ends; permutation
+    images are always finite, so classify_cover never asks about them.
     """
     nontrivial = []
     seen = set()
@@ -182,8 +175,6 @@ def _ends_of_group(rep: Representation, images: Sequence[Element]) -> str:
         if rank == 0:
             return ENDS_ZERO
         return ENDS_TWO if rank == 1 else ENDS_ONE
-    if rep.kind == PERMUTATION:
-        return ENDS_ZERO
     # Moebius
     orders = [e.order() for e in nontrivial]
     if all(o != INFINITE for o in orders):
@@ -264,8 +255,8 @@ def handle_witness_search(
     if pres.genus >= 1 and 2 * pres.genus + pres.punctures < 3:
         return None
     cover = AbstractCover(rep)
-    orders = {g: rep.image(g).order() for g in pres.cayley_gens}
-    powers = {g: [rep.image(g)] for g in pres.cayley_gens}
+    orders = {g: rep.image(g).order() for g in pres.free_gens}
+    powers = {g: [rep.image(g)] for g in pres.free_gens}
 
     def power(gen: str, n: int) -> Element:
         """gen^n for n >= 1, each power composed once per search."""
@@ -339,7 +330,7 @@ def _candidates(
         return
     for j in range(1, pres.genus + 1):
         aj, bj = pres.a(j), pres.b(j)
-        helpers = [d for d in pres.cayley_gens if d not in (aj, bj)]
+        helpers = [d for d in pres.free_gens if d not in (aj, bj)]
         # full commutator-type pair; the side conditions read only k + k'
         for d in helpers:
             for m in range(1, max_exp + 1):
@@ -418,19 +409,13 @@ def classify_cover(
         )
         return report, label
 
-    discrete = pres.punctures >= 1 and any(o != INFINITE for o in orders)
-    finite_set = {j + 1 for j, o in enumerate(orders) if o != INFINITE}
+    discrete = any(o != INFINITE for o in orders)
     notes: List[str] = []
-    if pres.punctures >= 1 and len(finite_set) < pres.punctures:
+    if INFINITE in orders:
         plugged_class = ENDS_ONE
     else:
-        sub_gens = [g for g in pres.handle_gens]
-        sub_gens += [
-            c
-            for idx, c in enumerate(pres.boundary_gens[: max(pres.punctures - 1, 0)])
-            if (idx + 1) not in finite_set
-        ]
-        plugged_class = _ends_of_group(rep, [rep.image(g) for g in sub_gens])
+        # every puncture is plugged, so the handles generate the plugged group
+        plugged_class = ends_of_group(rep, [rep.image(g) for g in pres.handle_gens])
         if plugged_class == ENDS_ZERO:
             notes.append(
                 "plugged-cover group of remaining generators came back finite "

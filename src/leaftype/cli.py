@@ -35,7 +35,6 @@ from .foliations import (
     LogComponent,
     LogFoliationSpec,
     PROPORTIONAL,
-    RiccatiSpec,
     classify_homogeneous,
     classify_logarithmic,
     classify_riccati,
@@ -114,6 +113,23 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _int(value, field: str) -> int:
+    """An integer field: a JSON int or an integer string, never a float or a bool."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError("%s must be an integer, not %s" % (field, json.dumps(value)))
+
+
+def _flag(cfg: dict, field: str, default: bool) -> bool:
+    value = cfg.get(field, default)
+    if not isinstance(value, bool):
+        raise ValueError("%s must be true or false, not %s" % (field, json.dumps(value)))
+    return value
+
+
 def _symbols(cfg: dict) -> List[str]:
     """The declared symbol names; identifiers only, so no name reads as a
     number or as part of another scalar's key."""
@@ -132,7 +148,8 @@ def _representation_data(cfg: dict) -> Tuple[SurfacePresentation, str, Dict[str,
     target = cfg.get("target")
     if target not in (CIRCLE, MOEBIUS, PERMUTATION):
         raise ValueError("representation config needs target circle|moebius|permutation")
-    pres = SurfacePresentation(int(cfg.get("genus", 0)), int(cfg.get("punctures", 0)))
+    genus, punctures = (_int(cfg.get(f, 0), f) for f in ("genus", "punctures"))
+    pres = SurfacePresentation(genus, punctures)
     images: Dict[str, Element] = {}
     for gen, value in _object(cfg.get("images", {}), "images").items():
         if target == CIRCLE:
@@ -166,7 +183,7 @@ def _build_log_spec(cfg: dict) -> LogFoliationSpec:
         coeff = None
         if "coeff" in entry:
             coeff = parse_gaussian(entry["coeff"])
-        comps.append(LogComponent(int(entry["degree"]), coeff, entry.get("label", "")))
+        comps.append(LogComponent(_int(entry["degree"], "degree"), coeff, entry.get("label", "")))
     ratios: Dict[int, Dict[int, ExponentScalar]] = {}
     for j, row in _object(cfg.get("ratios", {}), "ratios").items():
         row = _object(row, "ratios row %s" % j)
@@ -174,14 +191,14 @@ def _build_log_spec(cfg: dict) -> LogFoliationSpec:
     crossings: Dict[int, Dict[int, int]] = {}
     for j, row in _object(cfg.get("crossings", {}), "crossings").items():
         row = _object(row, "crossings row %s" % j)
-        crossings[int(j)] = {int(k): int(v) for k, v in row.items()}
+        crossings[int(j)] = {int(k): _int(v, "crossings[%s][%s]" % (j, k)) for k, v in row.items()}
     return LogFoliationSpec(
         mode=mode,
         components=comps,
         scale_symbol=cfg.get("scale_symbol", "s"),
         ratios=ratios,
-        normal_crossing=bool(cfg.get("normal_crossing", True)),
-        generic_asserted=bool(cfg.get("assert_generic", False)),
+        normal_crossing=_flag(cfg, "normal_crossing", True),
+        generic_asserted=_flag(cfg, "assert_generic", False),
         crossings=crossings,
     )
 
@@ -199,7 +216,7 @@ def _representation_from_config(cfg: dict) -> Representation:
     if kind == "logarithmic":
         spec = _build_log_spec(cfg)
         validate_log_structure(spec).raise_if_invalid()
-        j = int(cfg.get("component", 1))
+        j = _int(cfg.get("component", 1), "component")
         return component_holonomy(spec, j)
     raise ValueError("unknown config kind %r" % (kind,))
 
@@ -222,8 +239,7 @@ def cmd_classify(cfg: dict, radii, search_bound, budget, out_dir: Path) -> int:
         elif kind == "homogeneous":
             verdict = classify_homogeneous(_homogeneous_exponents(cfg), search_bound, radii, budget)
         elif kind == "riccati":
-            pres, _, images = _representation_data(dict(cfg, target=MOEBIUS))
-            verdict = classify_riccati(RiccatiSpec(pres, images), search_bound, radii, budget)
+            verdict = classify_riccati(_representation_from_config(cfg), search_bound, radii, budget)
         else:
             raise ValueError("unknown config kind %r" % (kind,))
         payload = verdict.to_json_dict()

@@ -32,7 +32,6 @@ from .scalars import ExponentScalar, GaussianRational
 from .targets import (
     DEFAULT_VERTEX_BUDGET,
     MOEBIUS,
-    MoebiusElement,
     Representation,
     deck_group_is_finite,
 )
@@ -345,11 +344,7 @@ def classify_logarithmic(
         "many handles attach, generic leaf is the Loch Ness monster"
     )
     witness_info: Dict[str, object] = {"status": "unverified at bound"}
-    bases: List[int] = []
-    if spec.mode == PROPORTIONAL:
-        bases = list(range(1, spec.r + 1))
-    else:
-        bases = sorted(spec.ratios)
+    bases = range(1, spec.r + 1) if spec.mode == PROPORTIONAL else sorted(spec.ratios)
     for j in bases:
         rep = component_holonomy(spec, j)
         finite, _ = deck_group_is_finite(rep)
@@ -415,14 +410,8 @@ def classify_homogeneous(
     return Verdict(label, route, {}, caveats, report)
 
 
-@dataclass
-class RiccatiSpec:
-    presentation: SurfacePresentation
-    images: Dict[str, MoebiusElement]
-
-
 def classify_riccati(
-    spec: RiccatiSpec,
+    rep: Representation,
     search_bound: int = DEFAULT_SEARCH_BOUND,
     radii: Sequence[int] = DEFAULT_RADII,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
@@ -433,7 +422,8 @@ def classify_riccati(
     suspension theorem applies to any such datum; the verdict covers all
     leaves outside a countable set.
     """
-    rep = Representation(spec.presentation, MOEBIUS, spec.images)
+    if rep.kind != MOEBIUS:
+        raise ValueError("Riccati holonomy must take values in the Moebius group")
     report, label = classify_cover(rep, search_bound, radii, vertex_budget)
     route = [
         "generator images fix at most two points each; suspension theorem "

@@ -156,11 +156,6 @@ class DomainTemplate:
             prefix_seq = _reduce(prefix_seq + paths["c%d" % j])
         return paths
 
-    def letter_path(self, gen: str) -> Tuple[Crossing, ...]:
-        """Crossing sequence of a generic pushoff of the based generator loop."""
-        self.presentation.check_gen(gen)
-        return self._letter_paths[gen, 1]
-
     def word_path(self, word: Word) -> Tuple[Crossing, ...]:
         """The letters' paths end to end; the crossings are the template's own tuples."""
         paths = self._letter_paths
@@ -402,10 +397,6 @@ class GluedSurface(_LiftSurface):
             "genus": self.genus,
             "connected": self.connected,
         }
-
-
-def glue_ball(rep: Representation, ball: CayleyBall) -> GluedSurface:
-    return GluedSurface(rep, ball)
 
 
 # -- lifted cycles ----------------------------------------------------------

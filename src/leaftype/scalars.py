@@ -137,13 +137,6 @@ class ExponentScalar:
     def from_gaussian(g: GaussianRational) -> "ExponentScalar":
         return ExponentScalar.make(real_const=g.re, imag_const=g.im)
 
-    @staticmethod
-    def gaussian_times_symbol(g: GaussianRational, name: str) -> "ExponentScalar":
-        """The scalar (a+bi)*s for a symbol s."""
-        return ExponentScalar.make(
-            real_syms={name: g.re}, imag_syms={name: g.im}
-        )
-
     def __add__(self, other: "ExponentScalar") -> "ExponentScalar":
         rs = dict(self.real_syms)
         for s, c in other.real_syms:
@@ -197,23 +190,6 @@ class ExponentScalar:
         if not self.is_rational:
             raise ValueError("scalar %s is not a rational constant" % (self,))
         return self.real_const
-
-    @property
-    def is_integer(self) -> bool:
-        return self.is_rational and self.real_const.denominator == 1
-
-    @property
-    def has_imag(self) -> bool:
-        return self.imag_const != 0 or bool(self.imag_syms)
-
-    def fractional(self) -> "ExponentScalar":
-        """Reduce the rational constant of the real part mod 1."""
-        return ExponentScalar(
-            self.real_const - (self.real_const.numerator // self.real_const.denominator),
-            self.real_syms,
-            self.imag_const,
-            self.imag_syms,
-        )
 
     def coordinates_mod_one(self) -> dict:
         """Coordinates in exponent space modulo the rational line Q*1.

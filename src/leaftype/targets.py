@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg
-from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .scalars import (
     GR_ONE,
@@ -420,20 +420,6 @@ PERMUTATION = "permutation"
 TARGET_KINDS = (CIRCLE, MOEBIUS, PERMUTATION)
 
 
-def element_power(e: Element, n: int) -> Element:
-    """e^n by repeated squaring; e^0 is e composed with its inverse."""
-    if n < 0:
-        e, n = e.inverse(), -n
-    acc = None
-    while n:
-        if n & 1:
-            acc = e if acc is None else acc.compose(e)
-        n >>= 1
-        if n:
-            e = e.compose(e)
-    return e.compose(e.inverse()) if acc is None else acc
-
-
 class Representation:
     """A homomorphism from a punctured-surface group into one exact target.
 
@@ -480,11 +466,17 @@ class Representation:
 
     def _check_consistency(self, leftover: Dict[str, Element], last: str | None) -> None:
         if last is not None and last in leftover:
-            supplied = leftover.pop(last)
-            if supplied != self._images[last]:
+            supplied, forced = leftover.pop(last), self._images[last]
+            if supplied != forced:
+                if self.kind == CIRCLE:
+                    raise ValueError(
+                        "supplied exponent of %s (%s) conflicts with the value the relation "
+                        "forces (%s): the puncture exponents must sum to an integer"
+                        % (last, _exponent_text(supplied.exponent), _exponent_text(forced.exponent))
+                    )
                 raise ValueError(
                     "supplied image of %s (%s) conflicts with the value the "
-                    "relation forces (%s)" % (last, supplied.key(), self._images[last].key())
+                    "relation forces (%s)" % (last, supplied.key(), forced.key())
                 )
         if leftover:
             raise ValueError("unexpected generator images: %s" % sorted(leftover))
@@ -566,11 +558,9 @@ class Representation:
         )
 
 
-def abelian_free_rank(rep: Representation) -> int:
-    """Torsion-free rank of the image of a circle representation."""
-    if rep.kind != CIRCLE:
-        raise ValueError("free rank computation applies to circle targets")
-    return circle_free_rank([rep.image(g) for g in rep.presentation.free_gens])
+def _exponent_text(x: ExponentScalar) -> str:
+    """A rational exponent as a fraction; any other in its key form."""
+    return str(x.rational_value) if x.is_rational else x.key()
 
 
 def circle_free_rank(elements: Sequence[CircleElement]) -> int:
@@ -625,27 +615,37 @@ def _moebius_sending(to_zero: GaussianRational | None, to_inf: GaussianRational 
     return MoebiusElement.of(GR_ONE, -to_zero, GR_ONE, -to_inf)
 
 
-def enumerate_group(identity: Element, gens: Sequence[Element], cap: int) -> Set[Element] | None:
-    """The group the gens generate, or None if it exceeds cap.
+def enumerate_group(
+    identity: Element, gens: Sequence[Element], cap: int, radius: int | None = None
+) -> Dict[Element, int] | None:
+    """Each element within radius of identity, mapped to its word length in
+    the gens, in discovery order; None once more than cap elements turn up.
 
     Breadth-first closure under the generators and their inverses; exact
-    because element equality is canonical.
+    because element equality is canonical. The radius defaults to cap, which
+    gives the whole group: a group of at most cap elements has diameter below
+    cap, and a larger one has more than cap elements within radius cap.
     """
+    if radius is None:
+        radius = cap
+    # stepping by a trivial image never leaves the vertex
     steps = [h for g in gens if not g.is_identity for h in (g, g.inverse())]
-    seen = {identity}
+    distances = {identity: 0}
     frontier = [identity]
-    while frontier:
+    d = 0
+    while frontier and d < radius:
+        d += 1
         nxt = []
         for v in frontier:
             for h in steps:
                 w = v.compose(h)
-                if w not in seen:
-                    if len(seen) >= cap:
+                if w not in distances:
+                    if len(distances) >= cap:
                         return None
-                    seen.add(w)
+                    distances[w] = d
                     nxt.append(w)
         frontier = nxt
-    return seen
+    return distances
 
 
 # Finite subgroups of PSL(2, C) with Gaussian-rational entries have order at

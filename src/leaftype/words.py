@@ -11,7 +11,7 @@ is checked on representations instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 Letter = Tuple[str, int]
 
@@ -63,10 +63,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
     def syllables(self) -> Tuple[Tuple[str, int], ...]:
         """Collapse runs of the same letter into (generator, exponent) pairs."""
         out: list = []
@@ -76,12 +72,6 @@ class Word:
             else:
                 out.append([gen, sign])
         return tuple((g, e) for g, e in out)
-
-    def exponent_sums(self) -> dict:
-        sums: dict = {}
-        for gen, sign in self.letters:
-            sums[gen] = sums.get(gen, 0) + sign
-        return {g: v for g, v in sums.items() if v != 0}
 
     def __str__(self) -> str:
         if not self.letters:
@@ -118,12 +108,8 @@ class SurfacePresentation:
             "c%d" % j for j in range(1, punctures + 1)
         )
         self.alphabet: Tuple[str, ...] = self.handle_gens + self.boundary_gens
-        if punctures >= 1:
-            self.free_gens: Tuple[str, ...] = self.handle_gens + self.boundary_gens[:-1]
-        else:
-            self.free_gens = self.handle_gens
-        # canonical generating set for deck-group metrics: c_n omitted
-        self.cayley_gens: Tuple[str, ...] = self.free_gens
+        # the generators images are given for, and the Cayley generating set: c_n omitted
+        self.free_gens: Tuple[str, ...] = self.alphabet[:-1] if punctures else self.handle_gens
 
     def __eq__(self, other) -> bool:
         return (
@@ -190,12 +176,6 @@ class SurfacePresentation:
         if self.punctures == 0:
             raise ValueError("no boundary generators on a closed surface")
         return self.boundary_prefix_word(self.punctures).inverse()
-
-    def reduce(self, raw: Sequence[Letter]) -> Word:
-        """Freely reduce a raw letter sequence, validating generator ids."""
-        for gen, _ in raw:
-            self.check_gen(gen)
-        return Word.from_letters(raw)
 
 
 def puncture_pair_witness(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -12,7 +13,14 @@ from leaftype import (
     build_ball,
     export_dot,
 )
-from leaftype.targets import BudgetExceededError, MoebiusElement, PermutationElement
+from leaftype.scalars import ExponentScalar
+from leaftype.targets import (
+    BudgetExceededError,
+    MoebiusElement,
+    PermutationElement,
+    deck_group_is_finite,
+    enumerate_group,
+)
 
 
 class TestBuildBall:
@@ -79,7 +87,7 @@ class TestBuildBall:
         rep = log3_case2
         ball = build_ball(rep, 3)
         best = {}
-        gens = rep.presentation.cayley_gens
+        gens = rep.presentation.free_gens
         for length in range(0, 4):
             for combo in itertools.product(
                 [(g, s) for g in gens for s in (1, -1)], repeat=length
@@ -98,6 +106,62 @@ class TestBuildBall:
     def test_negative_radius_rejected(self, log3_case2):
         with pytest.raises(ValueError):
             build_ball(log3_case2, -1)
+
+
+def _permutation_decks(rng):
+    """Seeded permutation decks of degree 3, 4 and 5 on the thrice-punctured sphere."""
+    for degree in (3, 4, 5):
+        images = {}
+        for g in ("c1", "c2"):
+            mapping = list(range(degree))
+            rng.shuffle(mapping)
+            images[g] = PermutationElement.of(mapping)
+        yield Representation(SurfacePresentation(0, 3), "permutation", images)
+
+
+def _seeded_balls():
+    """Balls of all three targets: seeded circle covers at radius 3, the
+    genus-3 Moebius ping-pong pair at radius 4, and permutation decks at a
+    radius equal to their order, which saturates them."""
+    rng = random.Random(26)
+    pool = [rational(1, 2), rational(1, 3), rational(2, 3), symbol("s"), symbol("t"),
+            symbol("s") + rational(1, 2), -symbol("t")]
+    for n in (3, 4, 5):
+        exps = [rng.choice(pool) for _ in range(n - 1)]
+        yield build_ball(circle_rep(n, exps + [-sum(exps, ExponentScalar())]), 3)
+    pres = SurfacePresentation(3, 0)
+    images = {g: moebius(1, 0, 0, 1) for g in pres.free_gens}
+    images["a1"] = moebius(1, 2, 0, 1)
+    images["a2"] = moebius(1, 0, 2, 1)
+    yield build_ball(Representation(pres, "moebius", images), 4)
+    for rep in _permutation_decks(rng):
+        yield build_ball(rep, deck_group_is_finite(rep)[1])
+
+
+class TestBreadthFirstClosure:
+    def test_discovery_order_is_pinned(self):
+        # the discovery order fixes the face ids of a GluedSurface
+        digest = hashlib.sha256()
+        sizes = []
+        for ball in _seeded_balls():
+            sizes.append(ball.vertex_count)
+            for v, d in ball.distances.items():
+                digest.update(("%s %d\n" % (v.key(), d)).encode())
+        assert sizes == [17, 34, 28, 161, 6, 24, 120]
+        assert digest.hexdigest() == "145919d87b0c88362509721350e8d7911124b2a16dced3da2f678518fa099e61"
+
+    def test_closure_is_the_saturated_ball(self):
+        # decks of order 6, 8 and 24
+        for rep in _permutation_decks(random.Random(2)):
+            gens = [rep.image(g) for g in rep.presentation.free_gens]
+            _, order = deck_group_is_finite(rep)
+            group = enumerate_group(rep.identity(), gens, order)
+            assert list(group.items()) == list(build_ball(rep, order).distances.items())
+            assert enumerate_group(rep.identity(), gens, order - 1) is None
+            with pytest.raises(BudgetExceededError, match="^Cayley ball vertex count exceeded"):
+                build_ball(rep, order, vertex_budget=order - 1)
+            with pytest.raises(BudgetExceededError, match="^permutation deck enumeration exceeded"):
+                deck_group_is_finite(rep, vertex_budget=order - 1)
 
 
 class TestExport:

@@ -14,7 +14,7 @@ from leaftype import (
     SurfacePresentation,
     boundary_orders,
     classify_cover,
-    ends_of_deck_group,
+    ends_of_group,
     handle_witness_search,
     riemann_hurwitz_finite,
 )
@@ -33,6 +33,10 @@ class TestBoundaryOrders:
     def test_trivial_rep(self):
         rep = Representation.trivial(SurfacePresentation(0, 3))
         assert boundary_orders(rep) == [1, 1, 1]
+
+
+def ends_of_deck_group(rep):
+    return ends_of_group(rep, [rep.image(g) for g in rep.presentation.free_gens])
 
 
 class TestEndsOfDeckGroup:

@@ -625,6 +625,58 @@ class TestMalformedConfigs:
         (err,) = errs
         assert err.startswith("invalid input: ") and "conflicts with the value the relation forces" in err
         assert err.count("\n") == 1
+        # the message speaks in exponents: c3 is given 1/2, and the relation forces -2/3 = 1/3 mod 1
+        assert "circ[" not in err
+        assert "(1/2)" in err and "(1/3)" in err and "sum to an integer" in err
+
+
+LOG_THREE_LINES = {"kind": "logarithmic", "mode": "proportional", "components": GENERIC_THREE_LINES}
+ALL_COMMANDS = ("classify", "ball", "surface")
+
+
+class TestCheckedFields:
+    """Integer fields take JSON ints or integer strings, flags only true or false."""
+
+    @pytest.mark.parametrize(
+        "config,commands,message",
+        [
+            (dict(REPRESENTATION_Z, genus=0.9), ALL_COMMANDS, "genus must be an integer, not 0.9"),
+            (dict(REPRESENTATION_Z, punctures=True), ALL_COMMANDS, "punctures must be an integer, not true"),
+            (
+                dict(LOG_THREE_LINES, components=[dict(GENERIC_THREE_LINES[0], degree=1.9)]
+                     + GENERIC_THREE_LINES[1:]),
+                ALL_COMMANDS,
+                "degree must be an integer, not 1.9",
+            ),
+            (dict(LOG_THREE_LINES, component=2.5), ("ball", "surface"), "component must be an integer, not 2.5"),
+            (
+                dict(LOG_THREE_LINES, crossings={"1": {"2": "one"}}),
+                ALL_COMMANDS,
+                'crossings[1][2] must be an integer, not "one"',
+            ),
+            (
+                dict(LOG_THREE_LINES, normal_crossing="false"),
+                ALL_COMMANDS,
+                'normal_crossing must be true or false, not "false"',
+            ),
+            (dict(LOG_THREE_LINES, assert_generic=1), ALL_COMMANDS, "assert_generic must be true or false, not 1"),
+        ],
+        ids=["genus", "punctures", "degree", "component", "crossings", "normal_crossing", "assert_generic"],
+    )
+    def test_one_line_naming_the_field(self, tmp_path, capsys, config, commands, message):
+        cfg = write_config(tmp_path, config)
+        for command in commands:
+            code, out, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
+            assert (code, out, err) == (1, "", "invalid input: %s\n" % message)
+
+    def test_integer_strings_read_as_today(self, tmp_path, capsys):
+        outputs = []
+        for component in (2, "2"):
+            cfg = write_config(tmp_path, dict(LOG_THREE_LINES, component=component))
+            code, _, _ = run_cli(["ball", "--config", str(cfg), "--radius", "2", "--out", str(tmp_path)], capsys)
+            assert code == 0
+            outputs.append((tmp_path / "ball.json").read_text(encoding="utf-8"))
+        assert outputs[0] == outputs[1]
 
 
 class TestKeysOnlyForExport:

@@ -10,7 +10,6 @@ from leaftype import (
     LogComponent,
     LogFoliationSpec,
     Representation,
-    RiccatiSpec,
     SurfacePresentation,
     classify_homogeneous,
     classify_logarithmic,
@@ -22,7 +21,7 @@ from leaftype import (
 )
 from leaftype.foliations import EXPLICIT_RATIOS, PROPORTIONAL, InvalidFoliationError
 from leaftype.scalars import ExponentScalar, GaussianRational
-from leaftype.targets import CIRCLE, MoebiusElement, deck_group_is_finite, element_power
+from leaftype.targets import CIRCLE, MoebiusElement, deck_group_is_finite
 
 
 def lines(*coeffs):
@@ -224,7 +223,10 @@ def _twist_handles(rep: Representation, rng: random.Random) -> Representation:
     for gen in pres.handle_gens:
         acc = rep.identity()
         for c in pres.boundary_gens:
-            acc = acc.compose(element_power(rep.image(c), rng.randint(-2, 2)))
+            n = rng.randint(-2, 2)
+            step = rep.image(c) if n >= 0 else rep.image(c).inverse()
+            for _ in range(abs(n)):
+                acc = acc.compose(step)
         images[gen] = acc
     return Representation(pres, CIRCLE, images)
 
@@ -311,7 +313,7 @@ class TestClassifyHomogeneous:
 
     def test_rational_inputs_always_finite_and_consistent(self):
         from leaftype import riemann_hurwitz_finite
-        from leaftype import build_ball, glue_ball
+        from leaftype import GluedSurface, build_ball
         from leaftype.targets import deck_group_is_finite
         from leaftype import Representation
 
@@ -328,47 +330,40 @@ class TestClassifyHomogeneous:
                 pres, [rational(e) for e in exps]
             )
             _, k = deck_group_is_finite(rep)
-            surf = glue_ball(rep, build_ball(rep, k))
+            surf = GluedSurface(rep, build_ball(rep, k))
             assert surf.genus == verdict.label.genus
             assert surf.r == verdict.label.punctures
 
 
 class TestClassifyRiccati:
     def test_blooming_cantor_tree(self, free_rank_two_rep):
-        spec = RiccatiSpec(
-            free_rank_two_rep.presentation,
-            {g: free_rank_two_rep.image(g) for g in free_rank_two_rep.presentation.free_gens},
-        )
-        verdict = classify_riccati(spec)
+        verdict = classify_riccati(free_rank_two_rep)
         assert verdict.label.name == "blooming_cantor_tree"
         assert any("countable" in c for c in verdict.caveats)
 
     def test_cantor_tree(self, genus2_free_rep):
-        spec = RiccatiSpec(
-            genus2_free_rep.presentation,
-            {g: genus2_free_rep.image(g) for g in genus2_free_rep.presentation.free_gens},
-        )
-        assert classify_riccati(spec).label.name == "cantor_tree"
+        assert classify_riccati(genus2_free_rep).label.name == "cantor_tree"
 
     def test_jacobs_ladder(self, translation_rep):
-        spec = RiccatiSpec(
-            translation_rep.presentation,
-            {g: translation_rep.image(g) for g in translation_rep.presentation.free_gens},
-        )
-        assert classify_riccati(spec).label.name == "jacobs_ladder"
+        assert classify_riccati(translation_rep).label.name == "jacobs_ladder"
 
     def test_relation_violation_rejected(self):
         pres = SurfacePresentation(1, 0)
         with pytest.raises(ValueError):
             classify_riccati(
-                RiccatiSpec(
+                Representation(
                     pres,
+                    "moebius",
                     {
                         "a1": MoebiusElement.of(2, 0, 0, 1),
                         "b1": MoebiusElement.of(1, 1, 0, 1),
                     },
                 )
             )
+
+    def test_circle_holonomy_rejected(self, log3_case1):
+        with pytest.raises(ValueError, match="Moebius group"):
+            classify_riccati(log3_case1)
 
 
 class TestRatioIndices:

@@ -10,13 +10,13 @@ from conftest import circle_rep, moebius, rational, symbol
 
 from leaftype import (
     DomainTemplate,
+    GluedSurface,
     Representation,
     SurfacePresentation,
     Word,
     build_ball,
     commutator,
     genus_growth,
-    glue_ball,
     intersection_number_mod2,
     lift_cycle,
 )
@@ -27,7 +27,7 @@ from leaftype.targets import MoebiusElement, PermutationElement
 
 
 def surface_for(rep, radius):
-    return glue_ball(rep, build_ball(rep, radius))
+    return GluedSurface(rep, build_ball(rep, radius))
 
 
 class TestTemplate:
@@ -43,7 +43,7 @@ class TestTemplate:
             pres = SurfacePresentation(g, n)
             tpl = DomainTemplate(pres)
             for gen in pres.alphabet:
-                product = tpl.path_shift_word(tpl.letter_path(gen))
+                product = tpl.path_shift_word(tpl.word_path(Word.generator(gen)))
                 if n >= 1 and gen == pres.boundary_gens[-1]:
                     assert product == pres.last_boundary_word()
                 else:
@@ -495,7 +495,7 @@ class TestFreeReduction:
         for g, n in [(0, 12), (6, 0), (2, 8)]:
             tpl = DomainTemplate(SurfacePresentation(g, n))
             for gen in tpl.presentation.alphabet:
-                path = tpl.letter_path(gen)
+                path = tpl.word_path(Word.generator(gen))
                 assert all(path[k] != (path[k + 1][0], -path[k + 1][1]) for k in range(len(path) - 1))
                 assert len(path) <= 8 * g + 2 * n + 1
 
@@ -506,7 +506,8 @@ class TestFreeReduction:
         monkeypatch.setattr(gluing, "_reduce", tuple)
         unreduced = [AbstractCover(rep) for rep in covers]
         # the sphere with 8 punctures: c8 has 2,187 crossings unreduced
-        assert len(unreduced[-2].template.letter_path("c8")) > len(reduced[-2].template.letter_path("c8"))
+        c8 = Word.generator("c8")
+        assert len(unreduced[-2].template.word_path(c8)) > len(reduced[-2].template.word_path(c8))
         bits = []
         for rep, red, raw in zip(covers, reduced, unreduced):
             words = TestParityProperties.kernel_words(rep, rng, 4)

@@ -1,12 +1,14 @@
 """Static hygiene of the library sources, checked with the standard library's ast.
 
-No linter is a dependency of this project, so the two checks that matter
-after helpers are deleted or moved live here: no module imports a name it
-does not use, and no private module-level function or class is left
-without a caller.
+No linter is a dependency of this project, so the checks that matter after
+helpers are deleted or moved live here: no module imports a name it does
+not use, no private module-level function or class is left without a
+caller, and every public one, and every public method, is either called
+from the library or listed as an entry point in the README.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -58,14 +60,20 @@ def test_every_import_is_used_or_exported(path):
     assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
 
 
-def test_every_private_def_has_a_caller():
-    trees = {path.name: _tree(path) for path in MODULES}
+def _referenced(trees) -> set:
+    """Every name the trees read or import."""
     referenced = set()
-    for tree in trees.values():
+    for tree in trees:
         referenced |= _used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def test_every_private_def_has_a_caller():
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = _referenced(trees.values())
     orphans = [
         "%s.%s" % (name, node.name)
         for name, tree in trees.items()
@@ -76,3 +84,37 @@ def test_every_private_def_has_a_caller():
         and node.name not in referenced
     ]
     assert not orphans, "private definitions nothing in src/ refers to: %s" % ", ".join(orphans)
+
+
+def _entry_point_names() -> set:
+    """Every identifier in the README section "Library entry points"."""
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"[A-Za-z_]\w*", section))
+
+
+def test_every_public_def_has_a_caller_or_is_documented():
+    """A public function, class or method is called from src/ (the package
+    __init__ only re-exports) or listed in README "Library entry points"."""
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = _entry_point_names() | _referenced(
+        tree for name, tree in trees.items() if name != "__init__.py"
+    )
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unreached = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            if node.name not in referenced:
+                unreached.append("%s.%s" % (name, node.name))
+            if isinstance(node, ast.ClassDef):
+                unreached += [
+                    "%s.%s.%s" % (name, node.name, m.name)
+                    for m in node.body
+                    if isinstance(m, defs) and not m.name.startswith("_") and m.name not in referenced
+                ]
+    assert not unreached, (
+        "public definitions that no src/ code calls and README does not list: %s"
+        % ", ".join(unreached)
+    )

@@ -8,6 +8,7 @@ from leaftype.scalars import (
     as_fraction,
     rational_matrix_rank,
 )
+from leaftype.targets import CircleElement
 
 
 class TestGaussianRational:
@@ -49,28 +50,23 @@ class TestExponentScalar:
         t = ExponentScalar.symbol("t", 2)
         assert t.scale(Fraction(1, 2)) == ExponentScalar.symbol("t")
 
-    def test_integer_detection(self):
-        assert ExponentScalar.rational(5).is_integer
-        assert not ExponentScalar.rational(Fraction(1, 2)).is_integer
+    def test_rational_detection(self):
+        assert ExponentScalar.rational(5).rational_value == 5
         assert not ExponentScalar.symbol("t").is_rational
+        with pytest.raises(ValueError):
+            ExponentScalar.symbol("t").rational_value
 
-    def test_fractional_reduces_mod_one(self):
-        x = ExponentScalar.rational(Fraction(7, 3)).fractional()
+    def test_circle_exponent_reduces_mod_one(self):
+        x = CircleElement.of(ExponentScalar.rational(Fraction(7, 3))).exponent
         assert x.rational_value == Fraction(1, 3)
-        y = ExponentScalar.rational(Fraction(-1, 3)).fractional()
+        y = CircleElement.of(ExponentScalar.rational(Fraction(-1, 3))).exponent
         assert y.rational_value == Fraction(2, 3)
 
     def test_imaginary_parts_tracked(self):
         g = GaussianRational.of(Fraction(1, 2), 3)
         x = ExponentScalar.from_gaussian(g)
-        assert x.has_imag
+        assert not x.is_rational
         assert x.imag_const == 3
-
-    def test_gaussian_times_symbol(self):
-        g = GaussianRational.of(2, -1)
-        x = ExponentScalar.gaussian_times_symbol(g, "s")
-        assert dict(x.real_syms) == {"s": Fraction(2)}
-        assert dict(x.imag_syms) == {"s": Fraction(-1)}
 
     def test_keys_are_canonical(self):
         a = ExponentScalar.symbol("t") + ExponentScalar.symbol("u")

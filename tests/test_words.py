@@ -15,26 +15,31 @@ def letters(*pairs):
     return list(pairs)
 
 
+def exponent_sums(word):
+    """The nonzero exponent sum of each generator: the word's abelianization."""
+    sums = {}
+    for gen, sign in word.letters:
+        sums[gen] = sums.get(gen, 0) + sign
+    return {g: v for g, v in sums.items() if v}
+
+
 class TestReduce:
     def test_cancellation(self):
-        pres = SurfacePresentation(1, 0)
-        w = pres.reduce(letters(("a1", 1), ("a1", -1)))
-        assert w.is_empty
+        w = Word.from_letters(letters(("a1", 1), ("a1", -1)))
+        assert w == Word()
 
     def test_inner_cancellation(self):
-        pres = SurfacePresentation(1, 0)
-        w = pres.reduce(letters(("a1", 1), ("b1", 1), ("b1", -1), ("a1", 1)))
+        w = Word.from_letters(letters(("a1", 1), ("b1", 1), ("b1", -1), ("a1", 1)))
         assert w == Word.generator("a1", 2)
 
     def test_already_reduced(self):
-        pres = SurfacePresentation(0, 3)
         raw = letters(("c1", 1), ("c2", 1), ("c1", -1))
-        assert pres.reduce(raw).letters == tuple(raw)
+        assert Word.from_letters(raw).letters == tuple(raw)
 
     def test_unknown_generator_rejected(self):
         pres = SurfacePresentation(0, 3)
         with pytest.raises(ValueError):
-            pres.reduce(letters(("z9", 1)))
+            pres.check_gen("z9")
 
     def test_idempotent_and_length_nonincreasing(self):
         pres = SurfacePresentation(2, 2)
@@ -45,9 +50,9 @@ class TestReduce:
                 (rng.choice(alphabet), rng.choice([1, -1]))
                 for _ in range(rng.randrange(0, 14))
             ]
-            w = pres.reduce(raw)
+            w = Word.from_letters(raw)
             assert len(w) <= len(raw)
-            assert pres.reduce(list(w.letters)) == w
+            assert Word.from_letters(w.letters) == w
 
 
 class TestPresentation:
@@ -59,7 +64,6 @@ class TestPresentation:
         pres = SurfacePresentation(2, 3)
         assert pres.alphabet == ("a1", "b1", "a2", "b2", "c1", "c2", "c3")
         assert pres.free_gens == ("a1", "b1", "a2", "b2", "c1", "c2")
-        assert pres.cayley_gens == pres.free_gens
 
     def test_closed_surface_free_gens(self):
         pres = SurfacePresentation(2, 0)
@@ -74,7 +78,7 @@ class TestPresentation:
     def test_relator_reduces_to_empty_with_substitution(self):
         pres = SurfacePresentation(1, 2)
         rel = pres.boundary_prefix_word(2) * pres.last_boundary_word()
-        assert rel.is_empty
+        assert rel == Word()
 
 
 class TestWordAlgebra:
@@ -92,7 +96,7 @@ class TestWordAlgebra:
                 for _ in range(rng.randrange(0, 10))
             ]
             w = Word.from_letters(raw)
-            assert (w * w.inverse()).is_empty
+            assert (w * w.inverse()) == Word()
 
     def test_product_equals_reduced_concatenation(self):
         # few generators, so products often cancel deep into both words
@@ -130,8 +134,8 @@ class TestPunctureWitness:
     def test_abelianization_vanishes(self):
         pres = SurfacePresentation(0, 4)
         g1, g2 = puncture_pair_witness(pres, 1, 3, 2, 3, 2)
-        assert g1.exponent_sums() == {}
-        assert g2.exponent_sums() == {}
+        assert exponent_sums(g1) == {}
+        assert exponent_sums(g2) == {}
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -155,8 +159,8 @@ class TestHandleWitness:
     def test_exponent_sums_vanish(self):
         pres = SurfacePresentation(2, 1)
         g1, g2 = handle_pair_witness(pres, 2, "c1", 2, 3, 1, 2)
-        assert g1.exponent_sums() == {}
-        assert g2.exponent_sums() == {}
+        assert exponent_sums(g1) == {}
+        assert exponent_sums(g2) == {}
 
     def test_torsion_shortcut(self):
         pres = SurfacePresentation(2, 0)
