@@ -11,8 +11,9 @@ One JSON config schema serves all entry points, discriminated by "kind":
 logarithmic, homogeneous, riccati or representation. Symbols standing for
 residues asserted Q-independent are declared once in a "symbols" array of
 identifiers.
-Exit codes: 0 classified, 1 invalid input, 2 budget exhausted or out of
-memory, 3 inconclusive, 4 internal error (a failed consistency check).
+Exit codes: 0 classified, 1 invalid input or a usage error, 2 budget
+exhausted or out of memory, 3 inconclusive, 4 internal error (a failed
+consistency check).
 
 A logarithmic config must be well formed for every command (see
 foliations.validate_log_structure). Only classify also requires the
@@ -175,7 +176,9 @@ def _homogeneous_exponents(cfg: dict) -> List[ExponentScalar]:
     return [parse_scalar(v, symbols) for v in cfg.get("exponents", [])]
 
 
-def _build_log_spec(cfg: dict) -> LogFoliationSpec:
+def _build_log_spec(cfg: dict) -> Tuple[LogFoliationSpec, int]:
+    """The spec and the index of the component whose holonomy ball and
+    surface export; every command checks both."""
     symbols = _symbols(cfg)
     mode = cfg.get("mode", PROPORTIONAL)
     comps = []
@@ -183,7 +186,11 @@ def _build_log_spec(cfg: dict) -> LogFoliationSpec:
         coeff = None
         if "coeff" in entry:
             coeff = parse_gaussian(entry["coeff"])
-        comps.append(LogComponent(_int(entry["degree"], "degree"), coeff, entry.get("label", "")))
+        comps.append(LogComponent(_int(entry["degree"], "degree"), coeff))
+    component = _int(cfg.get("component", 1), "component")
+    # the default is left to the structure check, which names too few components
+    if "component" in cfg and not 1 <= component <= len(comps):
+        raise ValueError("component index %d out of range" % component)
     ratios: Dict[int, Dict[int, ExponentScalar]] = {}
     for j, row in _object(cfg.get("ratios", {}), "ratios").items():
         row = _object(row, "ratios row %s" % j)
@@ -200,7 +207,7 @@ def _build_log_spec(cfg: dict) -> LogFoliationSpec:
         normal_crossing=_flag(cfg, "normal_crossing", True),
         generic_asserted=_flag(cfg, "assert_generic", False),
         crossings=crossings,
-    )
+    ), component
 
 
 def _representation_from_config(cfg: dict) -> Representation:
@@ -214,9 +221,8 @@ def _representation_from_config(cfg: dict) -> Representation:
     if kind == "riccati":
         return Representation(*_representation_data(dict(cfg, target=MOEBIUS)))
     if kind == "logarithmic":
-        spec = _build_log_spec(cfg)
+        spec, j = _build_log_spec(cfg)
         validate_log_structure(spec).raise_if_invalid()
-        j = _int(cfg.get("component", 1), "component")
         return component_holonomy(spec, j)
     raise ValueError("unknown config kind %r" % (kind,))
 
@@ -235,7 +241,7 @@ def cmd_classify(cfg: dict, radii, search_bound, budget, out_dir: Path) -> int:
         classified = label is not None
     else:
         if kind == "logarithmic":
-            verdict = classify_logarithmic(_build_log_spec(cfg), search_bound)
+            verdict = classify_logarithmic(_build_log_spec(cfg)[0], search_bound)
         elif kind == "homogeneous":
             verdict = classify_homogeneous(_homogeneous_exponents(cfg), search_bound, radii, budget)
         elif kind == "riccati":
@@ -299,10 +305,14 @@ def main(argv: List[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--radius", default=None, help="comma-separated radius schedule")
-        p.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
+        if name == "classify":
+            p.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
         p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
         p.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage line or the help
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
         raw = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -320,7 +330,7 @@ def main(argv: List[str] | None = None) -> int:
         if not isinstance(cfg, dict):
             raise ValueError("a config must be a JSON object")
         radii = _parse_radii(args.radius) if args.radius else DEFAULT_RADII
-        if args.budget < 1 or args.search_bound < 1:
+        if args.budget < 1 or getattr(args, "search_bound", 1) < 1:
             raise ValueError("budgets must be positive")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

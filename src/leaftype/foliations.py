@@ -45,7 +45,6 @@ EXPLICIT_RATIOS = "explicit_ratios"
 class LogComponent:
     degree: int
     coeff: Optional[GaussianRational] = None  # residue / common symbol
-    label: str = ""
 
 
 @dataclass

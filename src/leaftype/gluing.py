@@ -29,32 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import CayleyBall, build_ball
 from .targets import DEFAULT_VERTEX_BUDGET, Element, Representation
-from .words import Letter, SurfacePresentation, Word
+from .words import Letter, SurfacePresentation, Word, commutator
 
 Crossing = Tuple[str, int]  # (pair name, +1 = cross from the pos slot side)
 
 
 class InternalConsistencyError(RuntimeError):
     """A structural invariant of a glued complex failed; indicates a bug."""
-
-
-def _inv(seq: Sequence[Crossing]) -> Tuple[Crossing, ...]:
-    return tuple((p, -d) for p, d in reversed(seq))
-
-
-def _reduce(seq: Sequence[Crossing]) -> Tuple[Crossing, ...]:
-    """Free reduction: drop each crossing that its reverse follows at once.
-
-    Dropping such a backtrack is a homotopy, so the loop, and with it every
-    mod-2 intersection number, stays the same.
-    """
-    out: List[Crossing] = []
-    for p, d in seq:
-        if out and out[-1] == (p, -d):
-            out.pop()
-        else:
-            out.append((p, d))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -121,43 +102,40 @@ class DomainTemplate:
         # both orientations of every letter's path, keyed by the letter (gen, +-1)
         self._letter_paths: Dict[Letter, Tuple[Crossing, ...]] = {}
         for gen, path in self._build_letter_paths().items():
-            self._letter_paths[gen, 1] = path
-            self._letter_paths[gen, -1] = _inv(path)
+            self._letter_paths[gen, 1] = path.letters
+            self._letter_paths[gen, -1] = path.inverse().letters
 
     # -- generic-position loop representatives ----------------------------
 
-    def _build_letter_paths(self) -> Dict[str, Tuple[Crossing, ...]]:
+    def _build_letter_paths(self) -> Dict[str, Word]:
+        """Each generator's loop as a reduced Word whose letters are
+        crossings (pair, +-1).
+
+        Free reduction drops backtracks, each a homotopy, so the loop, and
+        with it every mod-2 intersection number, stays the same. Reduced,
+        every path is linear in g + n.
+        """
         g, n = self.presentation.genus, self.presentation.punctures
-        paths: Dict[str, Tuple[Crossing, ...]] = {}
-        kappa_cache: Dict[int, Tuple[Crossing, ...]] = {0: ()}
-
-        def kappa_seq(m: int) -> Tuple[Crossing, ...]:
-            if m not in kappa_cache:
-                prev = kappa_seq(m - 1)
-                a = paths["a%d" % m]
-                b = paths["b%d" % m]
-                kappa_cache[m] = _reduce(prev + a + b + _inv(a) + _inv(b))
-            return kappa_cache[m]
-
+        paths: Dict[str, Word] = {}
+        kappa = Word()  # the path of [a_1,b_1]...[a_{i-1},b_{i-1}]
         for i in range(1, g + 1):
-            conj = kappa_seq(i - 1)
             pa, pb = "a%d" % i, "b%d" % i
-            core_a: Tuple[Crossing, ...] = ((pa, 1), (pb, 1), (pa, -1))
-            core_b: Tuple[Crossing, ...] = ((pa, 1), (pb, -1), (pa, -1), (pb, 1), (pa, -1))
-            paths[pa] = _reduce(_inv(conj) + core_a + conj)
-            paths[pb] = _reduce(_inv(conj) + core_b + conj)
-        # reduced, the prefix of c_{j+1} is (s_j, -1) + the prefix of c_j, so
-        # every path is linear in g + n
-        prefix_seq: Tuple[Crossing, ...] = kappa_seq(g)
+            core_a = Word(((pa, 1), (pb, 1), (pa, -1)))
+            core_b = Word(((pa, 1), (pb, -1), (pa, -1), (pb, 1), (pa, -1)))
+            a = paths[pa] = kappa.inverse() * core_a * kappa
+            b = paths[pb] = kappa.inverse() * core_b * kappa
+            kappa = kappa * commutator(a, b)
+        # the prefix of c_{j+1} is (s_j, -1) times the prefix of c_j
+        prefix = kappa
         for j in range(1, n + 1):
-            paths["c%d" % j] = _reduce(
-                _inv(prefix_seq) + (("s%d" % j, -1),) + prefix_seq
-            )
-            prefix_seq = _reduce(prefix_seq + paths["c%d" % j])
+            c = paths["c%d" % j] = prefix.inverse() * Word.generator("s%d" % j, -1) * prefix
+            prefix = prefix * c
         return paths
 
     def word_path(self, word: Word) -> Tuple[Crossing, ...]:
-        """The letters' paths end to end; the crossings are the template's own tuples."""
+        """The letters' paths end to end, not reduced across letters: a
+        witness's visited faces are read off these steps. The crossings are
+        the template's own tuples."""
         paths = self._letter_paths
         out: List[Crossing] = []
         for letter in word.letters:

@@ -73,12 +73,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def inverse(self) -> "GaussianRational":
-        return GR_ONE / self
-
-    def modulus_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def key(self) -> str:
         im = str(self.im)
         sign = "" if im.startswith("-") else "+"
@@ -86,10 +80,6 @@ class GaussianRational:
 
     def __str__(self) -> str:
         return self.key()
-
-
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 
 
 def _clean(items: Iterable[Tuple[str, Fraction]]) -> Tuple[Tuple[str, Fraction], ...]:

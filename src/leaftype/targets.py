@@ -6,10 +6,11 @@ representation, with the rational constant reduced mod 1, so composing them
 is an integer tuple add and equal elements are equal tuples.
 Moebius elements are projective 2x2 matrices over the Gaussian rationals,
 stored as eight integer parts over one positive denominator in a canonical
-scaling, so composing them is integer arithmetic with one gcd and no
-Fraction. Permutations realize finite deck groups. Each target knows how to
-compose, invert, test identity and compute exact element orders. Elements
-are their own dict and set keys; key() strings are for export and messages.
+scaling, so composing them and testing their order is integer arithmetic
+with no Fraction. Permutations realize finite deck groups. Each target
+knows how to compose, invert, test identity and compute exact element
+orders. Elements are their own dict and set keys; key() strings are for
+export and messages.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from math import gcd, lcm
 from operator import add, neg
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
-from .scalars import (
-    GR_ONE,
-    GR_ZERO,
-    ExponentScalar,
-    GaussianRational,
-    rational_matrix_rank,
-)
+from .scalars import ExponentScalar, GaussianRational, rational_matrix_rank
 from .words import Letter, SurfacePresentation, Word
 
 Order = Union[int, str]
@@ -182,9 +177,11 @@ class MoebiusElement:
     ci, dr, di, den): entry a is (ar + ai*i)/den, and so on. den > 0, the
     nine ints have gcd 1, and the first nonzero entry in (a, b, c, d) order
     is den + 0i. That is the matrix divided through by its first nonzero
-    entry, so equality is a tuple comparison. Construct through of(),
-    identity() or the group operations; the constructor takes parts that are
-    already canonical.
+    entry, so equality is a tuple comparison. Order, parabolicity and the
+    ping-pong certificate read the trace and determinant of the integer
+    numerator matrix, which the denominator does not affect projectively.
+    Construct through of(), identity() or the group operations; the
+    constructor takes parts that are already canonical.
     """
 
     __slots__ = ("parts",)
@@ -194,7 +191,7 @@ class MoebiusElement:
 
     @staticmethod
     def of(a, b, c, d) -> "MoebiusElement":
-        entries = [_as_gaussian(v) for v in (a, b, c, d)]
+        entries = [v if isinstance(v, GaussianRational) else GaussianRational.of(v) for v in (a, b, c, d)]
         den = lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
         ints = [x.numerator * (den // x.denominator) for e in entries for x in (e.re, e.im)]
         ar, ai, br, bi, cr, ci, dr, di = ints
@@ -242,34 +239,21 @@ class MoebiusElement:
     def __repr__(self) -> str:
         return "MoebiusElement(%s)" % self.key()
 
-    def _entry(self, i: int) -> GaussianRational:
-        den = self.parts[8]
-        return GaussianRational(Fraction(self.parts[i], den), Fraction(self.parts[i + 1], den))
-
-    a = property(lambda self: self._entry(0))
-    b = property(lambda self: self._entry(2))
-    c = property(lambda self: self._entry(4))
-    d = property(lambda self: self._entry(6))
-
-    def det(self) -> GaussianRational:
-        return self.a * self.d - self.b * self.c
-
-    def trace_sq_over_det(self) -> GaussianRational:
-        t = self.a + self.d
-        return (t * t) / self.det()
+    def _trace_det(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """Trace and determinant of the integer numerator matrix, each as
+        (real, imaginary). Every test below reads them through a
+        scale-invariant ratio, so the denominator cancels."""
+        ar, ai, br, bi, cr, ci, dr, di, _ = self.parts
+        return (ar + dr, ai + di), (
+            ar * dr - ai * di - br * cr + bi * ci,
+            ar * di + ai * dr - br * ci - bi * cr,
+        )
 
     @property
     def is_parabolic(self) -> bool:
-        four = GaussianRational.of(4)
-        return (not self.is_identity) and self.trace_sq_over_det() == four
-
-    def fixed_point(self) -> GaussianRational | None:
-        """The unique fixed point of a parabolic element; None encodes infinity."""
-        if not self.is_parabolic:
-            raise ValueError("fixed_point is defined here for parabolic elements only")
-        if self.c.is_zero:
-            return None
-        return (self.a - self.d) / (self.c + self.c)
+        (t_re, t_im), (d_re, d_im) = self._trace_det()
+        # tr^2 == 4 det
+        return not self.is_identity and t_re * t_re - t_im * t_im == 4 * d_re and t_re * t_im == 2 * d_im
 
     def order(self) -> Order:
         """Exact order via the scale-invariant trace test.
@@ -282,16 +266,12 @@ class MoebiusElement:
         """
         if self.is_identity:
             return 1
-        t = self.trace_sq_over_det()
-        if not t.is_real:
-            return INFINITE
-        table = {
-            Fraction(0): 2,
-            Fraction(1): 3,
-            Fraction(2): 4,
-            Fraction(3): 6,
-        }
-        return table.get(t.re, INFINITE)
+        (t_re, t_im), (d_re, d_im) = self._trace_det()
+        sq_re, sq_im = t_re * t_re - t_im * t_im, 2 * t_re * t_im
+        for k, order in ((0, 2), (1, 3), (2, 4), (3, 6)):
+            if sq_re == k * d_re and sq_im == k * d_im:  # tr^2 == k det
+                return order
+        return INFINITE
 
     def key(self) -> str:
         """mob[a;b;c;d]: each entry as re+imi, each part as str(Fraction) prints it."""
@@ -338,12 +318,6 @@ def _moebius_from_matrix(ar, ai, br, bi, cr, ci, dr, di) -> MoebiusElement:
     if g != 1:
         parts = tuple(v // g for v in parts)
     return MoebiusElement(parts)
-
-
-def _as_gaussian(v) -> GaussianRational:
-    if isinstance(v, GaussianRational):
-        return v
-    return GaussianRational.of(v)
 
 
 _MOEBIUS_IDENTITY = MoebiusElement((1, 0, 0, 0, 0, 0, 1, 0, 1))
@@ -581,38 +555,27 @@ def ping_pong_free_certificate(e1: MoebiusElement, e2: MoebiusElement) -> bool:
     """Certify that two Moebius elements generate a free group of rank two.
 
     Matches the unipotent ping-pong pattern up to simultaneous conjugation:
-    both elements parabolic with distinct fixed points, and after moving the
-    fixed points to infinity and zero the off-diagonal entries x, y satisfy
-    |xy| >= 4 (the balanced form of the classical pattern x = y, |x| >= 2).
-    False means the pattern was not certified, not that the group fails to
-    be free.
+    both elements parabolic with distinct fixed points, and, conjugated to
+    [[1, x], [0, 1]] and [[1, 0], [y, 1]], |xy| >= 4 (the balanced form of
+    the classical pattern x = y, |x| >= 2). No conjugation is needed: with
+    E1, E2 the integer numerator matrices, A_k = 2*E_k/tr(E_k) is the
+    trace-2 lift, and tr(A1*A2) = 2 + xy, where xy = 0 exactly when the
+    fixed points coincide. With T = tr(E1*E2) and U = tr(E1)*tr(E2) that
+    is xy = (4T - 2U)/U, so the test is |2T - U|^2 >= 4|U|^2. False means
+    the pattern was not certified, not that the group fails to be free.
     """
-    for e in (e1, e2):
-        if e.is_identity or not e.is_parabolic:
-            return False
-    p1, p2 = e1.fixed_point(), e2.fixed_point()
-    if p1 == p2:
+    if not (e1.is_parabolic and e2.is_parabolic):
         return False
-    conj = _moebius_sending(p2, p1)
-    f1 = conj.compose(e1).compose(conj.inverse())
-    f2 = conj.compose(e2).compose(conj.inverse())
-    # f1 fixes infinity (upper unipotent), f2 fixes zero (lower unipotent)
-    if not (f1.c.is_zero and f1.a == f1.d and not f1.a.is_zero):
-        return False
-    if not (f2.b.is_zero and f2.a == f2.d and not f2.a.is_zero):
-        return False
-    x = f1.b / f1.a
-    y = f2.c / f2.a
-    return (x * y).modulus_sq() >= 16
-
-
-def _moebius_sending(to_zero: GaussianRational | None, to_inf: GaussianRational | None) -> MoebiusElement:
-    """A Moebius map sending to_zero -> 0 and to_inf -> infinity (None = infinity)."""
-    if to_inf is None:
-        return MoebiusElement.of(GR_ONE, -to_zero, GR_ZERO, GR_ONE)
-    if to_zero is None:
-        return MoebiusElement.of(GR_ZERO, GR_ONE, GR_ONE, -to_inf)
-    return MoebiusElement.of(GR_ONE, -to_zero, GR_ONE, -to_inf)
+    ar, ai, br, bi, cr, ci, dr, di, _ = e1.parts
+    er, ei, fr, fi, gr, gi, hr, hi, _ = e2.parts
+    # T = ae + bg + cf + dh, U = (a + d)(e + h)
+    t_re = ar * er - ai * ei + br * gr - bi * gi + cr * fr - ci * fi + dr * hr - di * hi
+    t_im = ar * ei + ai * er + br * gi + bi * gr + cr * fi + ci * fr + dr * hi + di * hr
+    (p_re, p_im), _ = e1._trace_det()
+    (q_re, q_im), _ = e2._trace_det()
+    u_re, u_im = p_re * q_re - p_im * q_im, p_re * q_im + p_im * q_re
+    v_re, v_im = 2 * t_re - u_re, 2 * t_im - u_im
+    return v_re * v_re + v_im * v_im >= 4 * (u_re * u_re + u_im * u_im)
 
 
 def enumerate_group(
@@ -626,6 +589,8 @@ def enumerate_group(
     gives the whole group: a group of at most cap elements has diameter below
     cap, and a larger one has more than cap elements within radius cap.
     """
+    if cap < 1:
+        return None  # not even the identity fits
     if radius is None:
         radius = cap
     # stepping by a trivial image never leaves the vertex

@@ -163,6 +163,20 @@ class TestBreadthFirstClosure:
             with pytest.raises(BudgetExceededError, match="^permutation deck enumeration exceeded"):
                 deck_group_is_finite(rep, vertex_budget=order - 1)
 
+    def test_budget_zero_holds_not_even_the_identity(self):
+        decks = [
+            Representation.trivial(SurfacePresentation(0, 3), "permutation", 3),
+            *_permutation_decks(random.Random(2)),
+        ]
+        for rep in [Representation.trivial(SurfacePresentation(0, 3)), *decks]:
+            assert enumerate_group(rep.identity(), [rep.image(g) for g in rep.presentation.free_gens], 0) is None
+            for radius in (0, 3):
+                with pytest.raises(BudgetExceededError, match="^Cayley ball vertex count exceeded"):
+                    build_ball(rep, radius, vertex_budget=0)
+        for rep in decks:
+            with pytest.raises(BudgetExceededError, match="^permutation deck enumeration exceeded"):
+                deck_group_is_finite(rep, vertex_budget=0)
+
 
 class TestExport:
     def test_single_vertex_dot(self):

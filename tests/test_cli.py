@@ -648,7 +648,9 @@ class TestCheckedFields:
                 ALL_COMMANDS,
                 "degree must be an integer, not 1.9",
             ),
-            (dict(LOG_THREE_LINES, component=2.5), ("ball", "surface"), "component must be an integer, not 2.5"),
+            (dict(LOG_THREE_LINES, component=2.5), ALL_COMMANDS, "component must be an integer, not 2.5"),
+            (dict(LOG_THREE_LINES, component=9), ALL_COMMANDS, "component index 9 out of range"),
+            (dict(LOG_THREE_LINES, component=0), ALL_COMMANDS, "component index 0 out of range"),
             (
                 dict(LOG_THREE_LINES, crossings={"1": {"2": "one"}}),
                 ALL_COMMANDS,
@@ -661,7 +663,10 @@ class TestCheckedFields:
             ),
             (dict(LOG_THREE_LINES, assert_generic=1), ALL_COMMANDS, "assert_generic must be true or false, not 1"),
         ],
-        ids=["genus", "punctures", "degree", "component", "crossings", "normal_crossing", "assert_generic"],
+        ids=[
+            "genus", "punctures", "degree", "component", "component_above_r", "component_zero",
+            "crossings", "normal_crossing", "assert_generic",
+        ],
     )
     def test_one_line_naming_the_field(self, tmp_path, capsys, config, commands, message):
         cfg = write_config(tmp_path, config)
@@ -677,6 +682,41 @@ class TestCheckedFields:
             assert code == 0
             outputs.append((tmp_path / "ball.json").read_text(encoding="utf-8"))
         assert outputs[0] == outputs[1]
+
+
+class TestUsage:
+    """Usage errors are invalid input: exit 1 with argparse's usage line."""
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["classify", "--config", "{cfg}", "--budget", "abc"], "invalid int value: 'abc'"),
+            (["surface", "--radius", "2"], "the following arguments are required: --config"),
+            (["ball", "--config", "{cfg}", "--search-bound", "3"], "unrecognized arguments: --search-bound 3"),
+            (["surface", "--config", "{cfg}", "--search-bound", "3"], "unrecognized arguments: --search-bound 3"),
+            (["classify", "--config", "{cfg}", "--depth", "3"], "unrecognized arguments: --depth 3"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["budget_not_int", "missing_config", "ball_search_bound", "surface_search_bound", "unknown", "no_command"],
+    )
+    def test_exit_one(self, tmp_path, capsys, args, message):
+        cfg = write_config(tmp_path, HOMOGENEOUS_CASE1)
+        code, out, err = run_cli([a.format(cfg=cfg) for a in args], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: leaftype") and message in err
+
+    @pytest.mark.parametrize("args", [["--help"], ["classify", "--help"], ["ball", "--help"]])
+    def test_help_exits_zero(self, capsys, args):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and out.startswith("usage: leaftype")
+        assert ("--search-bound" in out) == (args[0] == "classify")
+
+    def test_search_bound_still_read_by_classify(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, HOMOGENEOUS_CASE1)
+        argv = ["classify", "--config", str(cfg), "--out", str(tmp_path)]
+        assert run_cli(argv + ["--search-bound", "3"], capsys)[0] == 0
+        code, out, err = run_cli(argv + ["--search-bound", "0"], capsys)
+        assert (code, out, err) == (1, "", "invalid input: budgets must be positive\n")
 
 
 class TestKeysOnlyForExport:

@@ -17,16 +17,12 @@ class TestGaussianRational:
         y = GaussianRational.of("1/2", "-1/3")
         assert (x + y) - y == x
         assert (x * y) / y == x
-        assert x * x.inverse() == GaussianRational.of(1)
 
     def test_division_exact(self):
         x = GaussianRational.of(-1, -1)
         y = GaussianRational.of(0, 1)
         q = x / y
         assert q == GaussianRational.of(-1, 1)
-
-    def test_modulus_sq(self):
-        assert GaussianRational.of(3, 4).modulus_sq() == 25
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):

@@ -84,7 +84,7 @@ class TestMoebiusElement:
 
     def test_canonical_form_idempotent(self):
         m = moebius(3, 5, 7, 11)
-        again = MoebiusElement.of(m.a, m.b, m.c, m.d)
+        again = MoebiusElement.of(*_entries(m))
         assert m == again
 
     def test_orders_realizable_over_gaussian_rationals(self):
@@ -127,6 +127,12 @@ class TestMoebiusElement:
 
 def _gr(re, im=0):
     return GaussianRational.of(Fraction(re), Fraction(im))
+
+
+def _entries(m):
+    """The entries a, b, c, d of m as Gaussian rationals, read from its parts."""
+    *ints, den = m.parts
+    return tuple(GaussianRational.of(Fraction(re, den), Fraction(im, den)) for re, im in zip(ints[::2], ints[1::2]))
 
 
 def _ref_normal(m):
@@ -191,7 +197,7 @@ class TestMoebiusKernelDifferential:
             assert m.key() == _ref_key(ref)
             assert m.is_identity == _ref_is_identity(ref)
             assert m.order() == _ref_order(ref)
-            assert MoebiusElement.of(m.a, m.b, m.c, m.d) == m
+            assert MoebiusElement.of(*_entries(m)) == m
             same = by_key.setdefault(m.key(), m)
             assert same == m and hash(same) == hash(m)
 
@@ -353,6 +359,111 @@ class TestPingPong:
         assert ping_pong_free_certificate(e1, e2)
         e3 = MoebiusElement.of(1, 0, GaussianRational.of(0, Fraction(-1, 2)), 1)
         assert not ping_pong_free_certificate(e1, e3)
+
+
+def _ref_is_parabolic(m):
+    a, b, c, d = _entries(m)
+    t = a + d
+    return not _ref_is_identity((a, b, c, d)) and (t * t) / (a * d - b * c) == _gr(4)
+
+
+def _ref_fixed_point(m):
+    """The fixed point of a parabolic element; None encodes infinity."""
+    a, _, c, d = _entries(m)
+    return None if c.is_zero else (a - d) / (c + c)
+
+
+def _ref_sending(to_zero, to_inf):
+    """A Moebius map sending to_zero to 0 and to_inf to infinity (None = infinity)."""
+    one, zero = _gr(1), _gr(0)
+    if to_inf is None:
+        return MoebiusElement.of(one, -to_zero, zero, one)
+    if to_zero is None:
+        return MoebiusElement.of(zero, one, one, -to_inf)
+    return MoebiusElement.of(one, -to_zero, one, -to_inf)
+
+
+def _ref_ping_pong(e1, e2):
+    """The conjugation route: send the fixed points of e1, e2 to infinity
+    and 0, read x and y off [[1, x], [0, 1]] and [[1, 0], [y, 1]], and
+    certify iff |xy| >= 4."""
+    if not (_ref_is_parabolic(e1) and _ref_is_parabolic(e2)):
+        return False
+    p1, p2 = _ref_fixed_point(e1), _ref_fixed_point(e2)
+    if p1 == p2:
+        return False
+    conj = _ref_sending(p2, p1)
+    a1, b1, c1, d1 = _entries(conj.compose(e1).compose(conj.inverse()))
+    a2, b2, c2, d2 = _entries(conj.compose(e2).compose(conj.inverse()))
+    assert c1.is_zero and a1 == d1 and b2.is_zero and a2 == d2
+    xy = (b1 / a1) * (c2 / a2)
+    return xy.re * xy.re + xy.im * xy.im >= 16
+
+
+class TestPingPongDifferential:
+    """The integer trace test against the conjugation route it replaced."""
+
+    @staticmethod
+    def _pairs(rng, count):
+        def small():
+            return _gr(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
+
+        def conjugator():
+            while True:
+                entries = [_gr(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)]
+                if not (entries[0] * entries[3] - entries[1] * entries[2]).is_zero:
+                    return MoebiusElement.of(*entries)
+
+        def conjugate(g, m):
+            return g.compose(m).compose(g.inverse())
+
+        def nonzero():
+            x = small()
+            return x if not x.is_zero else _gr(1)
+
+        def upper():
+            return MoebiusElement.of(1, nonzero(), 0, 1)
+
+        def lower():
+            return MoebiusElement.of(1, 0, nonzero(), 1)
+
+        others = [
+            MoebiusElement.identity(),
+            moebius(0, 1, 1, 0),  # elliptic, order 2
+            moebius(0, -1, 1, 1),  # elliptic, order 3
+            MoebiusElement.of(_gr(0, 1), 0, 0, 1),  # elliptic, order 4
+            moebius(3, -4, 4, 3),  # elliptic of infinite order
+            moebius(2, 0, 0, 1),  # hyperbolic
+            moebius(5, 1, 4, 1),  # hyperbolic, trace 6
+            MoebiusElement.of(_gr(2, 1), 0, 0, 1),  # loxodromic
+        ]
+        pairs = []
+        kinds = ["shared", "distinct", "same_point", "mixed", "other"]
+        while len(pairs) < count:
+            kind = rng.choice(kinds)
+            if kind == "shared":
+                g = conjugator()
+                pair = (conjugate(g, upper()), conjugate(g, lower()))
+            elif kind == "distinct":
+                pair = (conjugate(conjugator(), upper()), conjugate(conjugator(), rng.choice([upper, lower])()))
+            elif kind == "same_point":
+                g = conjugator()
+                pair = (conjugate(g, upper()), conjugate(g, upper()))
+            elif kind == "mixed":
+                pair = (conjugate(conjugator(), upper()), conjugate(conjugator(), rng.choice(others)))
+            else:
+                pair = (conjugate(conjugator(), rng.choice(others)), conjugate(conjugator(), rng.choice(others)))
+            pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+        return pairs
+
+    def test_agrees_with_conjugation_route(self):
+        verdicts = []
+        for e1, e2 in self._pairs(random.Random(33), 2000):
+            assert (e1.is_parabolic, e2.is_parabolic) == (_ref_is_parabolic(e1), _ref_is_parabolic(e2))
+            verdict = ping_pong_free_certificate(e1, e2)
+            assert verdict == _ref_ping_pong(e1, e2), (e1, e2)
+            verdicts.append(verdict)
+        assert 300 < sum(verdicts) < len(verdicts) - 300
 
 
 class TestDeckFiniteness:
