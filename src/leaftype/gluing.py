@@ -8,11 +8,12 @@ boundary word
 
 where the a, b edges and the slit edges s_j are glued and the beta_j arcs
 (the delta-circle pieces) stay free. Crossing a glued edge moves between
-deck elements by the image of a fixed shift word: the relator prefix before
-one occurrence, the letter, and the inverse prefix of the other occurrence.
-These conjugated shifts, not the bare generator images, are what make the
-complex the actual covering surface when the deck group is nonabelian; for
-abelian deck groups they reduce to generator images up to inversion.
+deck elements by a step element: with pre[k] the image of the boundary
+letters before slot k (beta_j reads c_j, the slits read nothing), crossing
+a pair from its pos slot moves a face by pre[pos + 1] * pre[neg]^-1. These
+conjugated steps, not the bare generator images, are what make the complex
+the actual covering surface when the deck group is nonabelian; for abelian
+deck groups they reduce to generator images up to inversion.
 
 Lifted cycles are realized as crossing sequences through face interiors
 (the generic pushoff of the based loop), so mod-2 intersection numbers
@@ -43,7 +44,6 @@ class TemplatePair:
     name: str
     pos_slot: int
     neg_slot: int
-    shift: Word
 
 
 class DomainTemplate:
@@ -72,48 +72,20 @@ class DomainTemplate:
             slots.append(("s%d" % j, "neg"))
         self.slots = tuple(slots)
         self.size = len(slots)
-        self.pairs: Dict[str, TemplatePair] = {}
-        for i in range(1, g + 1):
-            kappa = presentation.handle_product_word(i - 1)
-            wa = Word.generator("a%d" % i)
-            wb = Word.generator("b%d" % i)
-            self.pairs["a%d" % i] = TemplatePair(
-                "a%d" % i,
-                pair_pos["a%d" % i],
-                pair_neg["a%d" % i],
-                kappa * wa * wb.inverse() * wa.inverse() * kappa.inverse(),
-            )
-            self.pairs["b%d" % i] = TemplatePair(
-                "b%d" % i,
-                pair_pos["b%d" % i],
-                pair_neg["b%d" % i],
-                kappa * wa * wb * wa * wb.inverse() * wa.inverse() * kappa.inverse(),
-            )
-        for j in range(1, n + 1):
-            prefix = presentation.boundary_prefix_word(j)
-            if j < n:
-                shift = prefix * Word.generator("c%d" % j).inverse() * prefix.inverse()
-            else:
-                # c_n is the inverse of its own prefix, so the conjugation collapses
-                shift = prefix
-            self.pairs["s%d" % j] = TemplatePair(
-                "s%d" % j, pair_pos["s%d" % j], pair_neg["s%d" % j], shift
-            )
-        # both orientations of every letter's path, keyed by the letter (gen, +-1)
-        self._letter_paths: Dict[Letter, Tuple[Crossing, ...]] = {}
-        for gen, path in self._build_letter_paths().items():
-            self._letter_paths[gen, 1] = path.letters
-            self._letter_paths[gen, -1] = path.inverse().letters
+        self.pairs: Dict[str, TemplatePair] = {
+            name: TemplatePair(name, pos, pair_neg[name]) for name, pos in pair_pos.items()
+        }
 
     # -- generic-position loop representatives ----------------------------
 
-    def _build_letter_paths(self) -> Dict[str, Word]:
-        """Each generator's loop as a reduced Word whose letters are
-        crossings (pair, +-1).
+    @cached_property
+    def _letter_paths(self) -> Dict[Letter, Tuple[Crossing, ...]]:
+        """Both orientations of each generator's loop, keyed by the letter
+        (gen, +-1), as the crossings (pair, +-1) of a reduced Word.
 
         Free reduction drops backtracks, each a homotopy, so the loop, and
         with it every mod-2 intersection number, stays the same. Reduced,
-        every path is linear in g + n.
+        every path is linear in g + n. Built at the first lift.
         """
         g, n = self.presentation.genus, self.presentation.punctures
         paths: Dict[str, Word] = {}
@@ -130,7 +102,11 @@ class DomainTemplate:
         for j in range(1, n + 1):
             c = paths["c%d" % j] = prefix.inverse() * Word.generator("s%d" % j, -1) * prefix
             prefix = prefix * c
-        return paths
+        out: Dict[Letter, Tuple[Crossing, ...]] = {}
+        for gen, path in paths.items():
+            out[gen, 1] = path.letters
+            out[gen, -1] = path.inverse().letters
+        return out
 
     def word_path(self, word: Word) -> Tuple[Crossing, ...]:
         """The letters' paths end to end, not reduced across letters: a
@@ -146,21 +122,24 @@ class DomainTemplate:
             out.extend(seq)
         return tuple(out)
 
-    def path_shift_word(self, path: Sequence[Crossing]) -> Word:
-        """The deck word a crossing sequence effects; letter paths give back the letter."""
-        out = Word()
-        for pair, d in path:
-            w = self.pairs[pair].shift
-            out = out * (w if d == 1 else w.inverse())
-        return out
-
     def step_elements(self, rep: Representation) -> Dict[Crossing, Element]:
-        """The deck element by which each crossing (pair, direction) moves a face."""
+        """The deck element by which each crossing (pair, direction) moves a
+        face: pre[pos + 1] * pre[neg]^-1 from the pos slot, with pre built
+        in one running product, so each step costs O(1) composes."""
+        pre: List[Element] = []
+        acc = rep.identity()
+        for label, role in self.slots:
+            pre.append(acc)
+            if role == "free":
+                acc = acc.compose(rep.image("c" + label[4:]))
+            elif label[0] != "s":
+                image = rep.image(label)
+                acc = acc.compose(image if role == "pos" else image.inverse())
         steps: Dict[Crossing, Element] = {}
         for name, pair in self.pairs.items():
-            shift = rep.evaluate(pair.shift)
-            steps[name, 1] = shift
-            steps[name, -1] = shift.inverse()
+            step = pre[pair.pos_slot + 1].compose(pre[pair.neg_slot].inverse())
+            steps[name, 1] = step
+            steps[name, -1] = step.inverse()
         return steps
 
 

@@ -17,10 +17,10 @@ RationalLike = Union[int, str, Fraction]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or exact decimal/ratio string to Fraction."""
+    """Coerce an int (not a bool), Fraction or exact decimal/ratio string to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

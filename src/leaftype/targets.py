@@ -345,7 +345,7 @@ class PermutationElement:
     @staticmethod
     def of(mapping: Sequence[int]) -> "PermutationElement":
         m = tuple(mapping)
-        if sorted(m) != list(range(len(m))):
+        if any(type(x) is not int for x in m) or sorted(m) != list(range(len(m))):
             raise ValueError("not a permutation of 0..%d: %r" % (len(m) - 1, m))
         return PermutationElement(m)
 

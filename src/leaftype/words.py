@@ -149,33 +149,20 @@ class SurfacePresentation:
             raise ValueError("puncture index %d out of range" % j)
         return "c%d" % j
 
-    def handle_product_word(self, upto: int | None = None) -> Word:
-        """[a_1,b_1]...[a_m,b_m] for m = upto (default: all handles)."""
-        m = self.genus if upto is None else upto
-        out = Word()
-        for i in range(1, m + 1):
-            out = out * commutator(Word.generator(self.a(i)), Word.generator(self.b(i)))
-        return out
-
-    def boundary_prefix_word(self, j: int) -> Word:
-        """[a_1,b_1]...[a_g,b_g] c_1...c_{j-1}, the relator prefix before c_j."""
-        out = self.handle_product_word()
-        for k in range(1, j):
-            out = out * Word.generator(self.c(k))
-        return out
-
     def surface_relator(self) -> Word:
         """The full relator [a_1,b_1]...[a_g,b_g] c_1...c_n."""
-        out = self.handle_product_word()
-        for j in range(1, self.punctures + 1):
-            out = out * Word.generator(self.c(j))
+        out = Word()
+        for i in range(1, self.genus + 1):
+            out = out * commutator(Word.generator(self.a(i)), Word.generator(self.b(i)))
+        for gen in self.boundary_gens:
+            out = out * Word.generator(gen)
         return out
 
     def last_boundary_word(self) -> Word:
-        """The word c_n abbreviates: the inverse of the relator prefix before it."""
+        """The word c_n abbreviates: the inverse of the relator before it."""
         if self.punctures == 0:
             raise ValueError("no boundary generators on a closed surface")
-        return self.boundary_prefix_word(self.punctures).inverse()
+        return Word(self.surface_relator().letters[:-1]).inverse()
 
 
 def puncture_pair_witness(

@@ -175,7 +175,7 @@ class TestWitnessSearch:
 
         monkeypatch.setattr(Representation, "evaluate", counting)
         assert handle_witness_search(rep) is None
-        assert len(words) == len(set(words)) == 148
+        assert len(words) == len(set(words)) == 144
 
 
 _SWEEP_EXPONENTS = (

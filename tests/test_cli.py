@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -229,6 +230,22 @@ class TestClassifyCommand:
         )
         assert code == 0
         assert json.loads(out)["label"]["label"] == "loch_ness_monster"
+
+    @pytest.mark.parametrize("d", [8, 14])
+    def test_logarithmic_high_degree_shape(self, tmp_path, capsys, d):
+        # three degree-d curves: the component has genus (d-1)(d-2)/2 and 2d^2
+        # punctures, so template set-up must stay linear in the presentation
+        residues = [{"re": "1/%d" % d}, {"im": "1/%d" % d}, {"re": "-1/%d" % d, "im": "-1/%d" % d}]
+        config = {"kind": "logarithmic", "components": [{"degree": d, "coeff": r} for r in residues]}
+        cfg = write_config(tmp_path, config)
+        code, out, _ = run_cli(["classify", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["label"]["label"] == "loch_ness_monster"
+        assert payload["computational_evidence"]["handle_witness"]["status"] == "confirmed"
+        assert hashlib.sha256((tmp_path / "verdict.json").read_bytes()).hexdigest() == (
+            "e511cf90b7cdcef3bd7d780ff3f6112ec311a279b04159a2cfa9bd60eddbaf3d"
+        )
 
     def test_large_cyclic_deck_in_closed_form(self, tmp_path, capsys):
         config = {
@@ -635,7 +652,8 @@ ALL_COMMANDS = ("classify", "ball", "surface")
 
 
 class TestCheckedFields:
-    """Integer fields take JSON ints or integer strings, flags only true or false."""
+    """Integer fields take JSON ints or integer strings, flags only true or
+    false, and no number or permutation entry is a bool."""
 
     @pytest.mark.parametrize(
         "config,commands,message",
@@ -662,10 +680,27 @@ class TestCheckedFields:
                 'normal_crossing must be true or false, not "false"',
             ),
             (dict(LOG_THREE_LINES, assert_generic=1), ALL_COMMANDS, "assert_generic must be true or false, not 1"),
+            (
+                {"kind": "homogeneous", "exponents": [True, "1/2", "1/2"]},
+                ALL_COMMANDS,
+                "cannot interpret True as an exact rational",
+            ),
+            (
+                dict(RICCATI_LADDER, images=dict(RICCATI_LADDER["images"], a1=[[True, True], [False, True]])),
+                ALL_COMMANDS,
+                "cannot interpret True as an exact rational",
+            ),
+            (
+                {"kind": "representation", "target": "permutation", "genus": 0,
+                 "punctures": 3, "images": {"c1": [True, False], "c2": [1, 0]}},
+                ALL_COMMANDS,
+                "not a permutation of 0..1: (True, False)",
+            ),
         ],
         ids=[
             "genus", "punctures", "degree", "component", "component_above_r", "component_zero",
-            "crossings", "normal_crossing", "assert_generic",
+            "crossings", "normal_crossing", "assert_generic", "exponent_bool", "riccati_bool",
+            "permutation_bool",
         ],
     )
     def test_one_line_naming_the_field(self, tmp_path, capsys, config, commands, message):

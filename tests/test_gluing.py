@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,56 @@ from leaftype import (
 )
 from leaftype import gluing
 from leaftype.gluing import AbstractCover, InternalConsistencyError
-from leaftype.scalars import ExponentScalar
-from leaftype.targets import MoebiusElement, PermutationElement
+from leaftype.scalars import ExponentScalar, GaussianRational
+from leaftype.targets import CircleElement, MoebiusElement, PermutationElement
 
 
 def surface_for(rep, radius):
     return GluedSurface(rep, build_ball(rep, radius))
+
+
+@dataclass(frozen=True)
+class FreeElement:
+    """A free-group element as a reduced Word, with the group operations
+    `DomainTemplate.step_elements` uses."""
+
+    word: Word
+
+    def compose(self, other):
+        return FreeElement(self.word * other.word)
+
+    def inverse(self):
+        return FreeElement(self.word.inverse())
+
+
+class FreeGroup:
+    """The free group of a punctured presentation, c_n read as its rewrite:
+    under it, each step element is the crossing's shift word itself."""
+
+    def __init__(self, presentation):
+        self.presentation = presentation
+
+    def identity(self):
+        return FreeElement(Word())
+
+    def image(self, gen):
+        pres = self.presentation
+        if pres.punctures and gen == pres.boundary_gens[-1]:
+            return FreeElement(pres.last_boundary_word())
+        return FreeElement(Word.generator(gen))
+
+
+def free_steps(tpl):
+    """The shift word of every crossing (pair, direction)."""
+    return {c: e.word for c, e in tpl.step_elements(FreeGroup(tpl.presentation)).items()}
+
+
+def path_word(steps, path):
+    """The deck word a crossing sequence effects."""
+    out = Word()
+    for crossing in path:
+        out = out * steps[crossing]
+    return out
 
 
 class TestTemplate:
@@ -37,13 +82,14 @@ class TestTemplate:
         assert labels == ["a1", "b1", "a1", "b1", "s1", "beta1", "s1"]
 
     def test_letter_paths_effect_exactly_the_letter(self):
-        # the shift-word product of each crossing sequence must equal the
-        # letter as a free-group element (c_n compares against its rewrite)
-        for g, n in [(0, 3), (1, 1), (1, 2), (2, 0), (2, 2), (3, 1)]:
+        # the step product of each crossing sequence must equal the letter
+        # as a free-group element (c_n compares against its rewrite)
+        for g, n in [(0, 3), (1, 1), (1, 2), (2, 0), (2, 2), (3, 1), (4, 5)]:
             pres = SurfacePresentation(g, n)
             tpl = DomainTemplate(pres)
+            steps = free_steps(tpl)
             for gen in pres.alphabet:
-                product = tpl.path_shift_word(tpl.word_path(Word.generator(gen)))
+                product = path_word(steps, tpl.word_path(Word.generator(gen)))
                 if n >= 1 and gen == pres.boundary_gens[-1]:
                     assert product == pres.last_boundary_word()
                 else:
@@ -53,7 +99,59 @@ class TestTemplate:
         pres = SurfacePresentation(0, 3)
         tpl = DomainTemplate(pres)
         w = Word.generator("c1") * Word.generator("c2", -1)
-        assert tpl.path_shift_word(tpl.word_path(w)) == w
+        assert path_word(free_steps(tpl), tpl.word_path(w)) == w
+
+    def test_step_elements_evaluate_the_free_steps(self):
+        rng = random.Random(40)
+        t, u = symbol("t"), symbol("u")
+        exponents = [t, u, -t, rational(1, 2), rational(1, 3), rational(0), t + rational(1, 2)]
+
+        def image(kind):
+            if kind == "circle":
+                return CircleElement.of(rng.choice(exponents))
+            if kind == "moebius":
+                while True:
+                    entries = [GaussianRational.of(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(4)]
+                    try:
+                        return MoebiusElement.of(*entries)
+                    except ValueError:
+                        pass
+            mapping = list(range(5))
+            rng.shuffle(mapping)
+            return PermutationElement.of(mapping)
+
+        checked = 0
+        for kind in ("circle", "moebius", "permutation"):
+            for _ in range(12):
+                g, n = rng.randint(0, 6), rng.randint(0, 8)
+                if 2 * g + n < 1 or (n == 0 and kind != "circle"):
+                    continue  # closed surfaces need images satisfying the relation
+                pres = SurfacePresentation(g, n)
+                rep = Representation(pres, kind, {gen: image(kind) for gen in pres.free_gens})
+                tpl = DomainTemplate(pres)
+                words = free_steps(tpl)
+                for crossing, element in tpl.step_elements(rep).items():
+                    assert element == rep.evaluate(words[crossing]), (kind, g, n, crossing)
+                checked += 1
+        assert checked >= 20
+
+    def test_step_elements_are_linear_in_the_template(self, monkeypatch):
+        pres = SurfacePresentation(10, 30)
+        t = symbol("t")
+        rep = Representation.circle_from_exponents(
+            pres, [t] * 29 + [t.scale(-29)], [rational(1, 2), t] * 10
+        )
+        calls = []
+        compose = CircleElement.compose
+
+        def counting(self, other):
+            calls.append(1)
+            return compose(self, other)
+
+        monkeypatch.setattr(CircleElement, "compose", counting)
+        tpl = DomainTemplate(pres)
+        tpl.step_elements(rep)
+        assert len(calls) <= tpl.size + len(tpl.pairs)
 
 
 class TestBaseSurfaces:

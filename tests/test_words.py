@@ -77,7 +77,8 @@ class TestPresentation:
 
     def test_relator_reduces_to_empty_with_substitution(self):
         pres = SurfacePresentation(1, 2)
-        rel = pres.boundary_prefix_word(2) * pres.last_boundary_word()
+        a, b, c1 = (Word.generator(gen) for gen in ("a1", "b1", "c1"))
+        rel = commutator(a, b) * c1 * pres.last_boundary_word()
         assert rel == Word()
 
 
