@@ -83,8 +83,8 @@ def parse_scalar(obj, symbols: Sequence[str]) -> ExponentScalar:
             return ExponentScalar.symbol(obj)
         return ExponentScalar.rational(as_fraction(obj))
     if isinstance(obj, dict):
-        real = dict(obj.get("real", {}))
-        imag = dict(obj.get("imag", {}))
+        real = dict(_object(obj.get("real", {}), "real"))
+        imag = dict(_object(obj.get("imag", {}), "imag"))
         for part in (real, imag):
             for key in part:
                 if key != "const" and key not in symbols:
@@ -114,6 +114,12 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError("%s must be a JSON array" % what)
+    return value
+
+
 def _int(value, field: str) -> int:
     """An integer field: a JSON int or an integer string, never a float or a bool."""
     if not isinstance(value, bool) and isinstance(value, (int, str)):
@@ -134,9 +140,7 @@ def _flag(cfg: dict, field: str, default: bool) -> bool:
 def _symbols(cfg: dict) -> List[str]:
     """The declared symbol names; identifiers only, so no name reads as a
     number or as part of another scalar's key."""
-    symbols = cfg.get("symbols", [])
-    if not isinstance(symbols, list):
-        raise ValueError("symbols must be a JSON array")
+    symbols = _array(cfg.get("symbols", []), "symbols")
     for name in symbols:
         if not (isinstance(name, str) and name.isidentifier()):
             raise ValueError("symbol name %r is not an identifier" % (name,))
@@ -156,6 +160,8 @@ def _representation_data(cfg: dict) -> Tuple[SurfacePresentation, str, Dict[str,
         if target == CIRCLE:
             images[gen] = CircleElement.of(parse_scalar(value, symbols))
         elif target == MOEBIUS:
+            if not (isinstance(value, list) and [isinstance(r, list) and len(r) for r in value] == [2, 2]):
+                raise ValueError("image of %s must be a 2x2 JSON array of arrays" % gen)
             (a, b), (c, d) = value
             images[gen] = MoebiusElement.of(
                 parse_gaussian(a), parse_gaussian(b), parse_gaussian(c), parse_gaussian(d)
@@ -173,7 +179,7 @@ def _representation_data(cfg: dict) -> Tuple[SurfacePresentation, str, Dict[str,
 
 def _homogeneous_exponents(cfg: dict) -> List[ExponentScalar]:
     symbols = _symbols(cfg)
-    return [parse_scalar(v, symbols) for v in cfg.get("exponents", [])]
+    return [parse_scalar(v, symbols) for v in _array(cfg.get("exponents", []), "exponents")]
 
 
 def _build_log_spec(cfg: dict) -> Tuple[LogFoliationSpec, int]:

@@ -18,7 +18,14 @@ deck groups they reduce to generator images up to inversion.
 Lifted cycles are realized as crossing sequences through face interiors
 (the generic pushoff of the based loop), so mod-2 intersection numbers
 reduce to exact chord-interleaving counts inside disk faces, with integer
-offsets along shared edges standing in for a geometric perturbation.
+offsets along shared edges standing in for a geometric perturbation. Each
+generator's loop is written in closed form at its first use, crossings
+(pair, +-1) read as letters: with X_k = b_k^-1 a_k b_k a_k^-1 and
+kappa_i = X_{i-1}...X_1, a_i is kappa_i^-1 a_i b_i a_i^-1 kappa_i and b_i
+is kappa_i^-1 a_i b_i^-1 a_i^-1 b_i a_i^-1 kappa_i; with P_j =
+s_{j-1}^-1...s_1^-1 kappa_{g+1}, c_j is P_j^-1 s_j^-1 P_j. No letters
+cancel at the joins, so each path is freely reduced and linear in g + n;
+reduction is a homotopy, so it keeps every mod-2 intersection number.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import CayleyBall, build_ball
 from .targets import DEFAULT_VERTEX_BUDGET, Element, Representation
-from .words import Letter, SurfacePresentation, Word, commutator
+from .words import Letter, SurfacePresentation, Word
 
 Crossing = Tuple[str, int]  # (pair name, +1 = cross from the pos slot side)
 
@@ -75,38 +82,10 @@ class DomainTemplate:
         self.pairs: Dict[str, TemplatePair] = {
             name: TemplatePair(name, pos, pair_neg[name]) for name, pos in pair_pos.items()
         }
+        # both orientations of each generator's loop, written at the first use
+        self._letter_paths: Dict[Letter, Tuple[Crossing, ...]] = {}
 
     # -- generic-position loop representatives ----------------------------
-
-    @cached_property
-    def _letter_paths(self) -> Dict[Letter, Tuple[Crossing, ...]]:
-        """Both orientations of each generator's loop, keyed by the letter
-        (gen, +-1), as the crossings (pair, +-1) of a reduced Word.
-
-        Free reduction drops backtracks, each a homotopy, so the loop, and
-        with it every mod-2 intersection number, stays the same. Reduced,
-        every path is linear in g + n. Built at the first lift.
-        """
-        g, n = self.presentation.genus, self.presentation.punctures
-        paths: Dict[str, Word] = {}
-        kappa = Word()  # the path of [a_1,b_1]...[a_{i-1},b_{i-1}]
-        for i in range(1, g + 1):
-            pa, pb = "a%d" % i, "b%d" % i
-            core_a = Word(((pa, 1), (pb, 1), (pa, -1)))
-            core_b = Word(((pa, 1), (pb, -1), (pa, -1), (pb, 1), (pa, -1)))
-            a = paths[pa] = kappa.inverse() * core_a * kappa
-            b = paths[pb] = kappa.inverse() * core_b * kappa
-            kappa = kappa * commutator(a, b)
-        # the prefix of c_{j+1} is (s_j, -1) times the prefix of c_j
-        prefix = kappa
-        for j in range(1, n + 1):
-            c = paths["c%d" % j] = prefix.inverse() * Word.generator("s%d" % j, -1) * prefix
-            prefix = prefix * c
-        out: Dict[Letter, Tuple[Crossing, ...]] = {}
-        for gen, path in paths.items():
-            out[gen, 1] = path.letters
-            out[gen, -1] = path.inverse().letters
-        return out
 
     def word_path(self, word: Word) -> Tuple[Crossing, ...]:
         """The letters' paths end to end, not reduced across letters: a
@@ -117,10 +96,33 @@ class DomainTemplate:
         for letter in word.letters:
             seq = paths.get(letter)
             if seq is None:
-                self.presentation.check_gen(letter[0])
-                raise ValueError("letter %r has no sign +1 or -1" % (letter,))
+                self._write_path(*letter)
+                seq = paths[letter]
             out.extend(seq)
         return tuple(out)
+
+    def _write_path(self, gen: str, sign: int) -> None:
+        """Both orientations of a generator's loop, in the closed form of
+        the module docstring: (gen, -1) reverses it and flips every sign."""
+        self.presentation.check_gen(gen)
+        if sign not in (1, -1):
+            raise ValueError("letter %r has no sign +1 or -1" % ((gen, sign),))
+        k = int(gen[1:])
+        if gen[0] == "c":
+            core = [("s%d" % k, -1)]
+            prefix = [("s%d" % j, -1) for j in range(k - 1, 0, -1)]
+            handles = self.presentation.genus
+        else:
+            a, b = "a%d" % k, "b%d" % k
+            core = [(a, 1), (b, 1), (a, -1)] if gen[0] == "a" else [(a, 1), (b, -1), (a, -1), (b, 1), (a, -1)]
+            prefix = []
+            handles = k - 1
+        for i in range(handles, 0, -1):
+            a, b = "a%d" % i, "b%d" % i
+            prefix += ((b, -1), (a, 1), (b, 1), (a, -1))
+        path = [(p, -d) for p, d in reversed(prefix)] + core + prefix
+        self._letter_paths[gen, 1] = tuple(path)
+        self._letter_paths[gen, -1] = tuple((p, -d) for p, d in reversed(path))
 
     def step_elements(self, rep: Representation) -> Dict[Crossing, Element]:
         """The deck element by which each crossing (pair, direction) moves a

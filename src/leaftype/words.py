@@ -110,6 +110,7 @@ class SurfacePresentation:
         self.alphabet: Tuple[str, ...] = self.handle_gens + self.boundary_gens
         # the generators images are given for, and the Cayley generating set: c_n omitted
         self.free_gens: Tuple[str, ...] = self.alphabet[:-1] if punctures else self.handle_gens
+        self._gens = frozenset(self.alphabet)
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,7 +129,7 @@ class SurfacePresentation:
         )
 
     def check_gen(self, gen: str) -> None:
-        if gen not in self.alphabet:
+        if gen not in self._gens:
             raise ValueError(
                 "unknown generator %r for %r (alphabet %s)"
                 % (gen, self, ", ".join(self.alphabet))
@@ -151,12 +152,9 @@ class SurfacePresentation:
 
     def surface_relator(self) -> Word:
         """The full relator [a_1,b_1]...[a_g,b_g] c_1...c_n."""
-        out = Word()
-        for i in range(1, self.genus + 1):
-            out = out * commutator(Word.generator(self.a(i)), Word.generator(self.b(i)))
-        for gen in self.boundary_gens:
-            out = out * Word.generator(gen)
-        return out
+        handles = zip(self.handle_gens[::2], self.handle_gens[1::2])
+        commutators = tuple(x for a, b in handles for x in ((a, 1), (b, 1), (a, -1), (b, -1)))
+        return Word(commutators + tuple((gen, 1) for gen in self.boundary_gens))  # reduced as it stands
 
     def last_boundary_word(self) -> Word:
         """The word c_n abbreviates: the inverse of the relator before it."""

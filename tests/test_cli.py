@@ -231,7 +231,7 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["label"]["label"] == "loch_ness_monster"
 
-    @pytest.mark.parametrize("d", [8, 14])
+    @pytest.mark.parametrize("d", [8, 14, 20, 40])
     def test_logarithmic_high_degree_shape(self, tmp_path, capsys, d):
         # three degree-d curves: the component has genus (d-1)(d-2)/2 and 2d^2
         # punctures, so template set-up must stay linear in the presentation
@@ -653,7 +653,8 @@ ALL_COMMANDS = ("classify", "ball", "surface")
 
 class TestCheckedFields:
     """Integer fields take JSON ints or integer strings, flags only true or
-    false, and no number or permutation entry is a bool."""
+    false, no number or permutation entry is a bool, and no container reads
+    as another JSON type."""
 
     @pytest.mark.parametrize(
         "config,commands,message",
@@ -696,11 +697,33 @@ class TestCheckedFields:
                 ALL_COMMANDS,
                 "not a permutation of 0..1: (True, False)",
             ),
+            ({"kind": "homogeneous", "exponents": "123"}, ALL_COMMANDS, "exponents must be a JSON array"),
+            (
+                {"kind": "homogeneous", "exponents": {"1/2": 0, "1/3": 0, "1/6": 0}},
+                ALL_COMMANDS,
+                "exponents must be a JSON array",
+            ),
+            (
+                dict(RICCATI_LADDER, images=dict(RICCATI_LADDER["images"], a1=["12", "01"])),
+                ALL_COMMANDS,
+                "image of a1 must be a 2x2 JSON array of arrays",
+            ),
+            (
+                dict(RICCATI_LADDER, images=dict(RICCATI_LADDER["images"], a1={"12": 0, "01": 0})),
+                ALL_COMMANDS,
+                "image of a1 must be a 2x2 JSON array of arrays",
+            ),
+            (
+                {"kind": "homogeneous", "exponents": [{"real": [["const", "1/2"]]}, "1/4", "1/4"]},
+                ALL_COMMANDS,
+                "real must be a JSON object",
+            ),
         ],
         ids=[
             "genus", "punctures", "degree", "component", "component_above_r", "component_zero",
             "crossings", "normal_crossing", "assert_generic", "exponent_bool", "riccati_bool",
-            "permutation_bool",
+            "permutation_bool", "exponents_string", "exponents_object", "riccati_strings",
+            "riccati_object", "scalar_part_array",
         ],
     )
     def test_one_line_naming_the_field(self, tmp_path, capsys, config, commands, message):

@@ -84,7 +84,7 @@ class TestTemplate:
     def test_letter_paths_effect_exactly_the_letter(self):
         # the step product of each crossing sequence must equal the letter
         # as a free-group element (c_n compares against its rewrite)
-        for g, n in [(0, 3), (1, 1), (1, 2), (2, 0), (2, 2), (3, 1), (4, 5)]:
+        for g, n in [(0, 3), (1, 1), (1, 2), (2, 0), (2, 2), (3, 1), (4, 5), (7, 11), (9, 30)]:
             pres = SurfacePresentation(g, n)
             tpl = DomainTemplate(pres)
             steps = free_steps(tpl)
@@ -94,6 +94,14 @@ class TestTemplate:
                     assert product == pres.last_boundary_word()
                 else:
                     assert product == Word.generator(gen)
+
+    def test_letter_paths_are_written_at_first_use(self):
+        # the component of three degree-40 curves: genus 741, 3200 punctures
+        g, n = 741, 3200
+        tpl = DomainTemplate(SurfacePresentation(g, n))
+        assert tpl.word_path(Word.generator("a1")) == (("a1", 1), ("b1", 1), ("a1", -1))
+        assert set(tpl._letter_paths) == {("a1", 1), ("a1", -1)}
+        assert len(tpl.word_path(Word.generator("c%d" % n))) == 2 * (4 * g + n - 1) + 1
 
     def test_word_path_concatenates(self):
         pres = SurfacePresentation(0, 3)
@@ -605,6 +613,8 @@ class TestFreeReduction:
         for cover in padded:
             # seeded backtracks (p, d)(p, -d) at seeded places in every letter path
             names = sorted(cover.template.pairs)
+            for gen in cover.template.presentation.alphabet:
+                cover.template.word_path(Word.generator(gen))  # writes both orientations
             paths = cover.template._letter_paths
             for letter in sorted(paths):
                 steps = list(paths[letter])
